@@ -23,13 +23,10 @@ from .symmetrize import phi, phi_hat
 from .trees import (
     Tree,
     TreeCombo,
-    canonical_key,
     cap_phi,
     cap_phi_hat,
-    change_root,
     circ_h,
     circ_product,
-    format_tree,
     harvestable_form,
     is_essentially_positive,
     is_harvestable,
@@ -66,14 +63,11 @@ __all__ = [
     "ZetaForestError",
     "b_binom",
     "bounded_vectors",
-    "canonical_key",
     "cap_phi",
     "cap_phi_hat",
-    "change_root",
     "circ_h",
     "circ_product",
     "depth",
-    "format_tree",
     "harmonic",
     "harvestable_form",
     "is_essentially_positive",

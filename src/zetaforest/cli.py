@@ -157,7 +157,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             m_max=args.m,
             weight_max=args.weight_max,
             seed=args.seed,
-            output="json" if args.json else "text",
             count=args.count,
         )
         report = run_suite(args.suite, cfg)

@@ -1,0 +1,117 @@
+"""Finite formal linear combinations with exact rational coefficients.
+
+A combination maps keys to nonzero coefficients.  ``accumulate`` is the one
+place where like terms merge and cancelled terms drop out; every sum in the
+package goes through it.  Code that builds a sum term by term fills a private
+dict with ``accumulate`` or ``Combo.add_into`` and wraps it once with
+``_wrap``; after that the dict belongs to the value and is never written
+again, so values stay immutable.
+
+Subclasses fix what the keys mean: words (``HElem``) or canonical tree
+encodings (``TreeCombo``).  Keys render as themselves, the empty key as the
+bare coefficient.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from .rationals import Rat, rat_str
+
+
+def accumulate(data: dict, key, c) -> None:
+    """Add c to data[key] in place, dropping the entry when it becomes zero."""
+    acc = data.get(key)
+    if acc is not None:
+        c = acc + c
+    if c:
+        data[key] = c
+    else:
+        data.pop(key, None)
+
+
+class Combo:
+    """Finite formal sum of keyed terms with nonzero exact rational coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping | Iterable[tuple[object, object]] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        data: dict = {}
+        for k, c in items:
+            accumulate(data, k, Rat(c))
+        self._terms = data
+
+    @classmethod
+    def _wrap(cls, data: dict) -> "Combo":
+        """The value around `data`, which the caller hands over and no longer touches."""
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
+
+    def _derive(self, data: dict, other: "Combo | None" = None) -> "Combo":
+        """A value of the same type around `data`, whose keys come from self and other."""
+        return self._wrap(data)
+
+    @classmethod
+    def zero(cls) -> "Combo":
+        return cls()
+
+    @staticmethod
+    def _order(key):
+        """Sort key for the display order of terms."""
+        return key
+
+    def _sorted(self) -> list:
+        return sorted(self._terms.items(), key=lambda kc: self._order(kc[0]))
+
+    def add_into(self, data: dict, scalar=1) -> None:
+        """Accumulate scalar * self into the private dict `data`."""
+        for k, c in self._terms.items():
+            accumulate(data, k, c * scalar)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __add__(self, other: "Combo") -> "Combo":
+        if type(other) is not type(self):
+            return NotImplemented
+        data = dict(self._terms)
+        for k, c in other._terms.items():
+            accumulate(data, k, c)
+        return self._derive(data, other)
+
+    def __neg__(self) -> "Combo":
+        return self._derive({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other: "Combo") -> "Combo":
+        return self + (-other)
+
+    def __mul__(self, scalar) -> "Combo":
+        s = Rat(scalar)
+        return self._derive({k: c * s for k, c in self._terms.items()} if s else {})
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        parts = []
+        for k, c in self._sorted():
+            cs = rat_str(c)
+            if not k:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(k)
+            elif cs == "-1":
+                parts.append("-" + k)
+            else:
+                parts.append(f"{cs}*{k}")
+        return " + ".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"

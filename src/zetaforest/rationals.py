@@ -13,14 +13,7 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def rat_str(value) -> str:
     """Render an exact rational (or int) as ``p`` or ``p/q``."""
     return str(value)
-
-
-def parse_rat(text: str):
-    return Rat(text)

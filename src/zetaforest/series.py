@@ -32,11 +32,6 @@ class TSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def constant(cls, c, order: int) -> "TSeries":
-        zero = c * 0
-        return cls((c,) + (zero,) * (order - 1), order)
-
-    @classmethod
     def zeros(cls, zero, order: int) -> "TSeries":
         return cls((zero,) * order, order)
 

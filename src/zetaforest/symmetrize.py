@@ -23,7 +23,7 @@ from .words import HElem, shuffle
 @lru_cache(maxsize=None)
 def _phi_hat_index(k: Tuple_, order: int) -> TSeries:
     r = len(k)
-    rows = [HElem.zero() for _ in range(order)]
+    rows: list[dict] = [{} for _ in range(order)]
     for i in range(r + 1):
         head, tail = k[:i], k[i:]
         sign = -1 if weight(tail) % 2 else 1
@@ -33,16 +33,17 @@ def _phi_hat_index(k: Tuple_, order: int) -> TSeries:
             if not b:
                 continue
             right = HElem.from_index(tuple_reverse(tuple_add(tail, l)))
-            rows[sum(l)] += (sign * b) * shuffle(left, right)
-    return TSeries(tuple(rows), order)
+            shuffle(left, right).add_into(rows[sum(l)], sign * b)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def phi_hat(a: HElem, order: int) -> TSeries:
     """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`."""
-    out = TSeries.zeros(HElem.zero(), order)
+    rows: list[dict] = [{} for _ in range(order)]
     for k, c in a.z_terms():
-        out = out + _phi_hat_index(k, order).scale(c)
-    return out
+        for row, image in zip(rows, _phi_hat_index(k, order).coeffs):
+            image.add_into(row, c)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def phi(a: HElem) -> HElem:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
+from .combo import Combo
 from .errors import (
     InvalidTree,
     NegativeEdgeIndex,
@@ -35,7 +36,7 @@ from .errors import (
     UnknownVertex,
 )
 from .indices import b_binom, bounded_vectors
-from .rationals import Rat, rat_str
+from .rationals import rat_str
 from .series import TSeries
 from .words import HElem, right_mul_x_pow, shuffle_all
 
@@ -83,24 +84,29 @@ class Tree:
     @cached_property
     def key(self) -> str:
         """Canonical DSL encoding; equal keys == isomorphic indexed trees."""
+        return self._canonical()
 
-        def enc(v: int, parent: int | None) -> str:
-            kids = sorted(
-                (k, enc(u, v)) for u, k in self.adj[v].items() if u != parent
-            )
-            inner = ",".join(f"{k}:{e}" for k, e in kids)
-            return ("b" if v in self.black else "w") + "(" + inner + ")"
+    def _canonical(self, kids_out: dict | None = None) -> str:
+        """The canonical DSL, from one post-order walk without recursion.
 
-        return enc(self.root, None)
+        Children are ordered by edge index, then child DSL.  If `kids_out` is
+        given, it receives every vertex's children in that order as (edge
+        index, child DSL, child) triples, children before parents.
+        """
+        adj, par = self.adj, self.parent
+        dsl: dict[int, str] = {}
+        # the parent map lists every vertex after its parent
+        for v in reversed(par):
+            p = par[v]
+            kids = sorted([(k, dsl.pop(u), u) for u, k in adj[v].items() if u != p])
+            inner = ",".join([f"{k}:{e}" for k, e, _ in kids])
+            dsl[v] = ("b(" if v in self.black else "w(") + inner + ")"
+            if kids_out is not None:
+                kids_out[v] = kids
+        return dsl[self.root]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def edge_index(self, u: int, v: int) -> int:
-        try:
-            return self.adj[u][v]
-        except KeyError:
-            raise UnknownVertex(f"no edge {u}-{v}") from None
 
     def validate(self) -> None:
         if self.black & self.white:
@@ -144,9 +150,6 @@ class Tree:
 
         return tuple(sorted(up(v) ^ up(w)))
 
-    def path_weight(self, v: int, w: int) -> int:
-        return sum(self.adj[a][b] for a, b in self.path_edges(v, w))
-
     def change_root(self, v: int) -> "Tree":
         if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the tree")
@@ -159,20 +162,8 @@ class Tree:
         return f"Tree({self.key})"
 
 
-def canonical_key(t: Tree) -> str:
-    return t.key
-
-
-def format_tree(t: Tree) -> str:
-    return t.key
-
-
 def unit_tree() -> Tree:
     return Tree.build(0, [0], [], [])
-
-
-def change_root(t: Tree, v: int) -> Tree:
-    return t.change_root(v)
 
 
 def is_essentially_positive(t: Tree) -> bool:
@@ -398,105 +389,33 @@ def _w(t: Tree) -> HElem:
         return out.concat(HElem.from_index(tuple(reversed(chain))))
 
 
-class TreeCombo:
-    """Formal rational combination of trees, merged through canonical keys."""
+class TreeCombo(Combo):
+    """Formal rational combination of trees, keyed by canonical encoding.
 
-    __slots__ = ("_terms",)
+    Each key keeps the first tree seen with it as its representative."""
+
+    __slots__ = ("_trees",)
 
     def __init__(self, terms: Iterable[tuple[Tree, object]] = ()):
-        data: dict[str, tuple[Tree, object]] = {}
-        for t, c in terms:
-            c = Rat(c)
-            if not c:
-                continue
-            k = t.key
-            if k in data:
-                acc = data[k][1] + c
-                if acc:
-                    data[k] = (data[k][0], acc)
-                else:
-                    del data[k]
-            else:
-                data[k] = (t, c)
-        self._terms = data
+        trees: dict[str, Tree] = {}  # setdefault keeps the first tree per key
+        super().__init__((trees.setdefault(t.key, t).key, c) for t, c in terms)
+        self._trees = {k: trees[k] for k in self._terms}
 
-    @classmethod
-    def zero(cls) -> "TreeCombo":
-        return cls()
+    def _derive(self, data: dict, other: "TreeCombo | None" = None) -> "TreeCombo":
+        out = self._wrap(data)
+        if other is None:
+            out._trees = self._trees
+        else:
+            trees = {**other._trees, **self._trees}
+            out._trees = {k: trees[k] for k in data}
+        return out
 
     @classmethod
     def from_tree(cls, t: Tree, coeff=1) -> "TreeCombo":
         return cls([(t, coeff)])
 
     def terms(self) -> list[tuple[Tree, object]]:
-        return [self._terms[k] for k in sorted(self._terms)]
-
-    def coeff(self, t: Tree):
-        entry = self._terms.get(t.key)
-        return entry[1] if entry else Rat(0)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeCombo):
-            return NotImplemented
-        if self._terms.keys() != other._terms.keys():
-            return False
-        return all(self._terms[k][1] == other._terms[k][1] for k in self._terms)
-
-    def __add__(self, other: "TreeCombo") -> "TreeCombo":
-        if not isinstance(other, TreeCombo):
-            return NotImplemented
-        data = dict(self._terms)
-        for k, (t, c) in other._terms.items():
-            if k in data:
-                acc = data[k][1] + c
-                if acc:
-                    data[k] = (data[k][0], acc)
-                else:
-                    del data[k]
-            else:
-                data[k] = (t, c)
-        out = TreeCombo.__new__(TreeCombo)
-        out._terms = data
-        return out
-
-    def __neg__(self) -> "TreeCombo":
-        out = TreeCombo.__new__(TreeCombo)
-        out._terms = {k: (t, -c) for k, (t, c) in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "TreeCombo") -> "TreeCombo":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "TreeCombo":
-        s = Rat(scalar)
-        out = TreeCombo.__new__(TreeCombo)
-        out._terms = {k: (t, c * s) for k, (t, c) in self._terms.items()} if s else {}
-        return out
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for t, c in self.terms():
-            cs = rat_str(c)
-            if cs == "1":
-                parts.append(t.key)
-            elif cs == "-1":
-                parts.append("-" + t.key)
-            else:
-                parts.append(f"{cs}*{t.key}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TreeCombo({str(self)})"
+        return [(self._trees[k], c) for k, c in self._sorted()]
 
     def to_json(self) -> dict:
         return {
@@ -534,10 +453,10 @@ def symmetrization_terms(t: Tree, order: int):
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: signed root changes with index bumps
     along the old-root-to-new-root path, one t power per bump weight."""
-    rows = [TreeCombo.zero() for _ in range(order)]
+    rows: list[list] = [[] for _ in range(order)]
     for degree, coeff, shifted in symmetrization_terms(t, order):
-        rows[degree] += TreeCombo.from_tree(shifted, coeff)
-    return TSeries(tuple(rows), order)
+        rows[degree].append((shifted, coeff))
+    return TSeries(map(TreeCombo, rows), order)
 
 
 def cap_phi(t: Tree) -> TreeCombo:
@@ -613,20 +532,12 @@ def parse_tree(s: str) -> Tree:
 
 def tree_to_json(t: Tree) -> dict:
     """Structural encoding mirroring the DSL, children in canonical order."""
-
-    def enc(v: int, parent: int | None) -> tuple[str, dict]:
-        kids = []
-        for u, k in t.adj[v].items():
-            if u == parent:
-                continue
-            ck, obj = enc(u, v)
-            kids.append((k, ck, obj))
-        kids.sort(key=lambda p: (p[0], p[1]))
-        color = "b" if v in t.black else "w"
-        key = color + "(" + ",".join(f"{k}:{ck}" for k, ck, _ in kids) + ")"
-        return key, {
-            "color": color,
-            "edges": [{"index": k, "child": o} for k, _, o in kids],
+    children: dict[int, list] = {}
+    t._canonical(children)
+    obj: dict[int, dict] = {}
+    for v, kids in children.items():
+        obj[v] = {
+            "color": "b" if v in t.black else "w",
+            "edges": [{"index": k, "child": obj.pop(u)} for k, _, u in kids],
         }
-
-    return enc(t.root, None)[1]
+    return obj[t.root]

@@ -66,7 +66,6 @@ class RunConfig:
     m_max: int = 10
     weight_max: int = 4
     seed: int = 0
-    output: str = "text"
     count: int = 100
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be 'text' or 'json'")
 
 
 @dataclass
@@ -147,13 +144,12 @@ def btt_lhs(ks: Tuple_) -> HElem:
 
 def btt_rhs(ks: Tuple_) -> HElem:
     """Signed sum over skipped positions: one factor moves into the x power."""
-    out = HElem.zero()
+    data: dict = {}
     for i, ki in enumerate(ks):
         rest = ks[:i] + ks[i + 1 :]
         sign = -1 if (ki + ks[-1]) % 2 else 1
-        term = right_mul_x_pow(shuffle_all(_z(k) for k in rest), ki)
-        out = out + sign * term
-    return out
+        right_mul_x_pow(shuffle_all(_z(k) for k in rest), ki).add_into(data, sign)
+    return HElem._wrap(data)
 
 
 def t_btt_lhs(ks: Tuple_, order: int) -> TSeries:
@@ -163,8 +159,8 @@ def t_btt_lhs(ks: Tuple_, order: int) -> TSeries:
 
 def t_btt_rhs(ks: Tuple_, order: int) -> TSeries:
     r = len(ks) - 1
-    rows = [HElem.zero() for _ in range(order)]
-    rows[0] = right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1])
+    rows: list[dict] = [{} for _ in range(order)]
+    right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1]).add_into(rows[0])
     for i in range(r):
         sign = -1 if (ks[i] + ks[-1]) % 2 else 1
         others = ks[:i] + ks[i + 1 : r]
@@ -173,8 +169,8 @@ def t_btt_rhs(ks: Tuple_, order: int) -> TSeries:
                 c = comb(ks[i] + l - 1, l) * comb(ks[-1] + lp - 1, lp)
                 factors = [_z(k) for k in others] + [_z(ks[-1] + lp)]
                 term = right_mul_x_pow(shuffle_all(factors), ks[i] + l)
-                rows[l + lp] = rows[l + lp] + (sign * c) * term
-    return TSeries(tuple(rows), order)
+                term.add_into(rows[l + lp], sign * c)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def kaneko_lhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
@@ -183,14 +179,15 @@ def kaneko_lhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
 
 def kaneko_rhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
     sign = -1 if weight(l) % 2 else 1
-    acc = TSeries.zeros(HElem.zero(), order)
+    rows: list[dict] = [{} for _ in range(order)]
     for lp in bounded_vectors(len(l), order - 1):
         b = b_binom(l, lp)
         if not b:
             continue
         word = HElem.from_index(k + tuple_reverse(tuple_add(l, lp)))
-        acc = acc + phi_hat(word, order).shift(sum(lp)).scale(b)
-    return acc.scale(sign)
+        for row, image in zip(rows[sum(lp) :], phi_hat(word, order).coeffs):
+            image.add_into(row, sign * b)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def main_lhs(t: Tree, order: int) -> TSeries:
@@ -200,20 +197,20 @@ def main_lhs(t: Tree, order: int) -> TSeries:
 def main_rhs(t: Tree, order: int) -> TSeries:
     """Tree-side of the main identity: signed, b-weighted words of the
     harvestable forms of the re-rooted index-bumped trees."""
-    rows = [HElem.zero() for _ in range(order)]
+    rows: list[dict] = [{} for _ in range(order)]
     for degree, coeff, shifted in symmetrization_terms(t, order):
-        rows[degree] = rows[degree] + coeff * w_word(harvestable_form(shifted))
-    return TSeries(tuple(rows), order)
+        w_word(harvestable_form(shifted)).add_into(rows[degree], coeff)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def diagram_rhs(t: Tree, order: int) -> TSeries:
     """Same identity routed through the tree-level map and combination merging."""
 
     def harvest_words(combo) -> HElem:
-        out = HElem.zero()
+        data: dict = {}
         for tree, c in combo.terms():
-            out = out + c * w_word(harvestable_form(tree))
-        return out
+            w_word(harvestable_form(tree)).add_into(data, c)
+        return HElem._wrap(data)
 
     return cap_phi_hat(t, order).map(harvest_words)
 

@@ -2,9 +2,10 @@
 
 Words are plain strings over the alphabet ``{"x", "y"}``; the empty string is
 the unit word and renders as ``1``.  ``HElem`` is a finite linear combination
-of words.  The y-initial subspace (every word empty or starting with ``y``)
-has the z-basis ``z_k = y x^(k-1)``, indexed by tuples of positive integers;
-``word_from_index`` and ``z_decompose`` convert between the two encodings.
+of words, a ``Combo`` keyed by word.  The y-initial subspace (every word empty
+or starting with ``y``) has the z-basis ``z_k = y x^(k-1)``, indexed by tuples
+of positive integers; ``word_from_index`` and ``z_decompose`` convert between
+the two encodings.
 
 All values are immutable by convention: every operation returns fresh
 objects and never mutates its inputs.
@@ -13,11 +14,12 @@ objects and never mutates its inputs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
+from .combo import Combo, accumulate
 from .errors import BadIndex, NotInH1
 from .indices import Tuple_, check_index
-from .rationals import Rat, rat_str
+from .rationals import rat_str
 
 Word = str
 
@@ -60,28 +62,12 @@ def _grlex(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
-class HElem:
+class HElem(Combo):
     """Finite formal sum of words with nonzero exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, object] | Iterable[tuple[Word, object]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Word, object] = {}
-        for w, c in items:
-            c = Rat(c)
-            if c:
-                acc = data.get(w)
-                acc = c if acc is None else acc + c
-                if acc:
-                    data[w] = acc
-                elif w in data:
-                    del data[w]
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "HElem":
-        return cls()
+    _order = staticmethod(_grlex)
 
     @classmethod
     def unit(cls) -> "HElem":
@@ -97,13 +83,7 @@ class HElem:
 
     def terms(self) -> list[tuple[Word, object]]:
         """Term list in graded lexicographic word order (x < y)."""
-        return sorted(self._terms.items(), key=lambda t: _grlex(t[0]))
-
-    def coeff(self, w: Word):
-        return self._terms.get(w, Rat(0))
-
-    def words(self) -> Iterator[Word]:
-        return iter(self._terms)
+        return self._sorted()
 
     @property
     def is_h1(self) -> bool:
@@ -113,81 +93,13 @@ class HElem:
         """Terms as (index, coefficient); raises NotInH1 off the subspace."""
         return [(z_decompose(w), c) for w, c in self.terms()]
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HElem) and self._terms == other._terms
-
-    def __add__(self, other: "HElem") -> "HElem":
-        if not isinstance(other, HElem):
-            return NotImplemented
-        data = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = data.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                data[w] = acc
-            elif w in data:
-                del data[w]
-        out = HElem.__new__(HElem)
-        out._terms = data
-        return out
-
-    def __neg__(self) -> "HElem":
-        out = HElem.__new__(HElem)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "HElem") -> "HElem":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "HElem":
-        s = Rat(scalar)
-        out = HElem.__new__(HElem)
-        out._terms = {w: c * s for w, c in self._terms.items()} if s else {}
-        return out
-
-    __rmul__ = __mul__
-
     def concat(self, other: "HElem") -> "HElem":
         """Bilinear concatenation product."""
         data: dict[Word, object] = {}
         for wa, ca in self._terms.items():
             for wb, cb in other._terms.items():
-                w = wa + wb
-                c = ca * cb
-                acc = data.get(w)
-                acc = c if acc is None else acc + c
-                if acc:
-                    data[w] = acc
-                elif w in data:
-                    del data[w]
-        out = HElem.__new__(HElem)
-        out._terms = data
-        return out
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            cs = rat_str(c)
-            if not w:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(w)
-            elif cs == "-1":
-                parts.append("-" + w)
-            else:
-                parts.append(f"{cs}*{w}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"HElem({str(self)})"
+                accumulate(data, wa + wb, ca * cb)
+        return HElem._wrap(data)
 
     def to_json(self) -> dict:
         return {
@@ -208,11 +120,9 @@ def _shuffle_words(u: Word, v: Word) -> dict:
         return {u: 1}
     out: dict[Word, int] = {}
     for w, c in _shuffle_words(u[:-1], v).items():
-        w = w + u[-1]
-        out[w] = out.get(w, 0) + c
+        accumulate(out, w + u[-1], c)
     for w, c in _shuffle_words(u, v[:-1]).items():
-        w = w + v[-1]
-        out[w] = out.get(w, 0) + c
+        accumulate(out, w + v[-1], c)
     return out
 
 
@@ -223,16 +133,8 @@ def shuffle(a: HElem, b: HElem) -> HElem:
         for wb, cb in b._terms.items():
             c = ca * cb
             for w, mult in _shuffle_words(wa, wb).items():
-                acc = data.get(w)
-                term = c * mult
-                acc = term if acc is None else acc + term
-                if acc:
-                    data[w] = acc
-                elif w in data:
-                    del data[w]
-    out = HElem.__new__(HElem)
-    out._terms = data
-    return out
+                accumulate(data, w, c * mult)
+    return HElem._wrap(data)
 
 
 def shuffle_all(elems: Iterable[HElem]) -> HElem:
@@ -252,14 +154,11 @@ def _harmonic_indices(k: Tuple_, l: Tuple_) -> dict:
         return {k: 1}
     out: dict[Tuple_, int] = {}
     for idx, c in _harmonic_indices(k[1:], l).items():
-        idx = (k[0],) + idx
-        out[idx] = out.get(idx, 0) + c
+        accumulate(out, (k[0],) + idx, c)
     for idx, c in _harmonic_indices(k, l[1:]).items():
-        idx = (l[0],) + idx
-        out[idx] = out.get(idx, 0) + c
+        accumulate(out, (l[0],) + idx, c)
     for idx, c in _harmonic_indices(k[1:], l[1:]).items():
-        idx = (k[0] + l[0],) + idx
-        out[idx] = out.get(idx, 0) + c
+        accumulate(out, (k[0] + l[0],) + idx, c)
     return out
 
 
@@ -270,17 +169,8 @@ def harmonic(a: HElem, b: HElem) -> HElem:
         for kb, cb in b.z_terms():
             c = ca * cb
             for idx, mult in _harmonic_indices(ka, kb).items():
-                w = word_from_index(idx)
-                acc = data.get(w)
-                term = c * mult
-                acc = term if acc is None else acc + term
-                if acc:
-                    data[w] = acc
-                elif w in data:
-                    del data[w]
-    out = HElem.__new__(HElem)
-    out._terms = data
-    return out
+                accumulate(data, word_from_index(idx), c * mult)
+    return HElem._wrap(data)
 
 
 def right_mul_x_pow(a: HElem, k: int) -> HElem:

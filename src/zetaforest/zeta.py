@@ -17,11 +17,10 @@ exact rationals, independently of the symbolic pipelines they check:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
+from itertools import chain, combinations
 
 from .errors import DegenerateBase, UnknownVertex
-from .indices import Tuple_
+from .indices import Tuple_, positive_compositions
 from .rationals import Rat
 from .series import TSeries, _neg_power_coeffs
 from .symmetrize import phi_hat
@@ -64,27 +63,6 @@ def _edge_supports(t: Tree) -> dict:
     return supports
 
 
-def _positive_tuples(parts: int, lo_total: int, hi_total: int) -> Iterator[tuple]:
-    """All tuples of `parts` positive integers with total in [lo_total, hi_total]."""
-    if parts == 0:
-        if lo_total <= 0 <= hi_total:
-            yield ()
-        return
-
-    def rec(prefix: list, remaining: int, budget: int) -> Iterator[tuple]:
-        if remaining == 1:
-            lo = max(1, lo_total - sum(prefix))
-            for m in range(lo, budget + 1):
-                yield tuple(prefix) + (m,)
-            return
-        for m in range(1, budget - (remaining - 1) + 1):
-            prefix.append(m)
-            yield from rec(prefix, remaining - 1, budget - m)
-            prefix.pop()
-
-    yield from rec([], parts, hi_total)
-
-
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
     blacks = sorted(t.black)
@@ -96,7 +74,7 @@ def zeta_tree(t: Tree, M: int) -> object:
         if k > 0
     ]
     total = Rat(0)
-    for m in _positive_tuples(len(blacks), M, M):
+    for m in positive_compositions(M, len(blacks)):
         term = Rat(1)
         for idxs, k in factors:
             base = sum(m[i] for i in idxs)
@@ -125,7 +103,8 @@ def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
         sup = supports[(a, b)]
         factors.append((tuple(pos[v] for v in sorted(sup) if v != u), u in sup, k))
     coeffs = [Rat(0) for _ in range(order)]
-    for m in _positive_tuples(len(others), 1, M - 1):
+    tuples = chain.from_iterable(positive_compositions(n, len(others)) for n in range(1, M))
+    for m in tuples:
         m_u = -sum(m)
         scalar = Rat(1)
         series: tuple | None = None

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from zetaforest.errors import NotInH1
 from zetaforest.series import TSeries
-from zetaforest.symmetrize import phi, phi_hat
+from zetaforest.symmetrize import _phi_hat_index, phi, phi_hat
 from zetaforest.words import HElem, right_mul_x_pow, shuffle
 
 indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
@@ -24,6 +24,21 @@ def test_phi_hat_z1():
     assert got.coeffs[0] == HElem.zero()
     assert got.coeffs[1] == -z((2,))
     assert got.coeffs[2] == -z((3,))
+
+
+def test_phi_hat_cancellation_leaves_cached_rows_untouched():
+    order = 3
+    cached = [_phi_hat_index(k, order) for k in ((1, 2), (2, 1))]
+    before = [[row.terms() for row in s.coeffs] for s in cached]
+    a = z((1, 2)) + z((2, 1))
+    out = phi_hat(a, order)
+    # yyx has coefficients 3 and -3 in the two images
+    assert "yyx" in dict(cached[0].coeffs[0].terms())
+    assert "yyx" not in dict(out.coeffs[0].terms())
+    assert [[row.terms() for row in s.coeffs] for s in cached] == before
+    again = phi_hat(a, order)
+    _phi_hat_index.cache_clear()
+    assert again == phi_hat(a, order) == out
 
 
 def test_phi_hat_z2_constant():

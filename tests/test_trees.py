@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -31,6 +32,7 @@ from zetaforest.trees import (
     harvestable_form,
     is_essentially_positive,
     is_harvestable,
+    tree_to_json,
     w_word,
 )
 from zetaforest.words import HElem, right_mul_x_pow, shuffle
@@ -50,6 +52,21 @@ def relabel(t: Tree, perm: dict) -> Tree:
 
 
 # --- canonical keys ---------------------------------------------------------
+
+
+def test_key_and_json_of_deep_chain():
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    ks = [1 + i % 3 for i in range(n)]
+    t = Tree.build(0, range(n + 1), [], [(i, i + 1, k) for i, k in enumerate(ks)])
+    assert t.key == "b(" + "".join(f"{k}:b(" for k in ks) + ")" * (n + 1)
+    obj, walked = tree_to_json(t), []
+    while obj["edges"]:
+        assert obj["color"] == "b"
+        (edge,) = obj["edges"]
+        walked.append(edge["index"])
+        obj = edge["child"]
+    assert walked == ks
 
 
 def test_non_planar_equality():
@@ -372,6 +389,30 @@ def test_tree_combo_merges_isomorphic():
     combo = TreeCombo.from_tree(a) + TreeCombo.from_tree(b)
     assert combo == TreeCombo.from_tree(a, 2)
     assert not (combo - TreeCombo.from_tree(b, 2))
+
+
+def test_tree_combo_keeps_first_seen_representative():
+    a = linear_tree(1, 2)
+    b = relabel(a, {v: v + 10 for v in a.vertices})
+    ((rep, c),) = TreeCombo([(a, 1), (b, 2)]).terms()
+    assert rep is a and c == 3
+    ((rep, c),) = (TreeCombo.from_tree(b) + TreeCombo.from_tree(a, 2)).terms()
+    assert rep is b and c == 3
+
+
+def test_cap_phi_hat_cancellation_leaves_values_untouched():
+    t = symmetric_hybrid_tree(1, 2, 3)
+    first = cap_phi_hat(t, 3)
+    assert not first.coeffs[0] and first.coeffs[1]  # the constant terms cancel
+
+    def snapshot(s):
+        return [[(tree.key, c) for tree, c in combo.terms()] for combo in s.coeffs]
+
+    before = snapshot(first)
+    assert not (first - first)
+    assert snapshot(first) == before
+    cold = cap_phi_hat(Tree.build(t.root, t.black, t.white, t.edges), 3)
+    assert cap_phi_hat(t, 3) == cold == first
 
 
 def test_tree_combo_str():

@@ -38,8 +38,6 @@ def test_run_config_validation():
         RunConfig(t_order=0)
     with pytest.raises(ValueError):
         RunConfig(seed=-1)
-    with pytest.raises(ValueError):
-        RunConfig(output="xml")
 
 
 def test_minimizer_reduces_indices():
