@@ -1,7 +1,7 @@
 """Exact truncated-sum oracles.
 
-These evaluate every identity numerically by brute-force enumeration with
-exact rationals, independently of the symbolic pipelines they check:
+These evaluate every identity numerically with exact rationals,
+independently of the symbolic pipelines they check:
 
 * ``zeta_index(k, M)``       -- sum over 0 < n_1 < ... < n_r < M of prod n_i^-k_i
 * ``zeta_tree(X, M)``        -- sum over positive black tuples with total M of
@@ -12,75 +12,157 @@ exact rationals, independently of the symbolic pipelines they check:
                                 expanded as a truncated series
 * ``zeta_shat_tree(X, M, N)``-- sum of zeta_tree_u over all black u
 * ``z_m_eval`` / ``z_shat``  -- linear extensions over the z-basis
+
+None of them enumerates tuples.  Each is a dynamic program over partial
+totals in plain integers: every factor n^-k is kept as the numerator
+(L // n)^k over L^k, with L = lcm(1..n_max), and the exact ``Rat`` is formed
+once at the end.
+
+* ``zeta_index`` is the nested-sum recursion S_k(M) = sum_{n<M} n^-k_r
+  S_k'(n) with k' = (k_1..k_r-1); it costs O(r*M).
+* ``zeta_tree`` walks the tree once, children before parents.  Each vertex
+  holds a vector indexed by the total n = 0..M of the black values in its
+  subtree.  An edge scales entry n by (L // n)^k, siblings combine by
+  convolution, and a black vertex takes a shifted prefix sum because its own
+  value is at least 1.  It costs O(V*M^2).
+* ``zeta_tree_u`` is the same walk re-rooted at u, where each edge's base is
+  the total of the side away from u.  That base is negated and shifted by t
+  on the edges of the old root-to-u path, so vector entries there are
+  t-series.  It costs O(V*M^2*N^2) at t-order N.  ``zeta_shat_tree`` adds
+  the numerators of all B re-rootings before its one reduction, so it costs
+  O(B*V*M^2*N^2).
+
+The brute-force enumerators these replace are kept as the test-only
+reference in ``tests/enum_oracles.py``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate
+from math import comb, lcm
 
 from .errors import DegenerateBase, UnknownVertex
-from .indices import Tuple_, positive_compositions
+from .indices import Tuple_
 from .rationals import Rat
-from .series import TSeries, _neg_power_coeffs
+from .series import TSeries
 from .symmetrize import phi_hat
 from .trees import Tree
 from .words import HElem
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
-    r = len(k)
-    total = Rat(0)
-    for ns in combinations(range(1, M), r):
-        term = Rat(1)
-        for n, e in zip(ns, k):
-            term /= n**e
-        total += term
-    return total
+    if not k:
+        return Rat(1)
+    if M <= len(k):
+        return Rat(0)
+    L = lcm(*range(1, M))
+    # row[n]: numerator over L^(k_1+...+k_j) of the sum with n_j = n
+    row = [1] + [0] * (M - 1)
+    for e in k:
+        below = 0
+        new = [0] * M
+        for n in range(1, M):
+            below += row[n - 1]
+            new[n] = below * (L // n) ** e
+        row = new
+    return Rat(sum(row), L ** sum(k))
 
 
-@lru_cache(maxsize=4096)
-def _edge_supports(t: Tree) -> dict:
-    """For each edge, the set of black vertices whose root path crosses it
-    (equivalently: the black vertices strictly below the edge)."""
-    supports: dict[tuple[int, int], frozenset] = {}
+def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
+               cap: int, L: int, order: int) -> list:
+    """The total vector of the whole tree, walked from `top`.
 
-    def down(v: int, parent: int | None) -> set:
-        acc = set()
-        for u in t.adj[v]:
-            if u == parent:
+    Returns rows[d][n] for d < order and n <= cap: the numerator over
+    L^(K+d), K the sum of all edge indices, of the t^d coefficient of the sum
+    over values >= 1 on the vertices in `free` with total n.  Every vertex
+    outside `free` has value 0.  The edge above a vertex c (seen from `top`)
+    contributes (total below c)^-k, or (-(total below c) + t)^-k if c is in
+    `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
+    """
+    adj = t.adj
+    parent = {top: None}
+    seq = [top]
+    for v in seq:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                seq.append(w)
+    quot = [0] + [L // n for n in range(1, cap + 1)]
+    factors: dict = {}
+
+    def edge_factors(k: int, flip: bool) -> list:
+        # factor rows by t-degree l, as numerators over L^(k+l)
+        key = (k, flip)
+        if key not in factors:
+            if flip:
+                sign = -1 if k % 2 else 1
+                factors[key] = [
+                    [sign * comb(k + l - 1, l) * q ** (k + l) for q in quot]
+                    for l in range(order)
+                ]
+            else:
+                factors[key] = [[q**k for q in quot]]
+        return factors[key]
+
+    vectors: dict[int, list] = {}
+    for v in reversed(seq):
+        rows = None
+        for w, k in adj[v].items():
+            if w == parent[v]:
                 continue
-            sub = down(u, v)
-            supports[(min(u, v), max(u, v))] = frozenset(sub)
-            acc |= sub
-        if v in t.black:
-            acc.add(v)
-        return acc
+            child = vectors.pop(w)
+            if k:
+                if any(r[0] for r in child):
+                    raise DegenerateBase(f"zero base on an edge of {t.key}")
+                child = _product(child, edge_factors(k, w in flipped), order, cap, pointwise=True)
+            rows = child if rows is None else _product(rows, child, order, cap)
+        if rows is None:
+            rows = [[1] + [0] * cap]
+        if v in free:
+            # m_v >= 1: entry n collects the entries below n
+            rows = [[0, *accumulate(r[:-1])] for r in rows]
+        vectors[v] = rows
+    return vectors[top]
 
-    down(t.root, None)
-    return supports
+
+def _product(a: list, b: list, order: int, cap: int, pointwise: bool = False) -> list:
+    """Cauchy product over t-degree of two row lists, truncated at `order`.
+
+    Rows multiply entrywise if `pointwise`, else by convolution over the
+    total, truncated at `cap`.
+    """
+    out = [[0] * (cap + 1) for _ in range(min(order, len(a) + len(b) - 1))]
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b[: len(out) - i]):
+            acc = out[i + j]
+            if pointwise:
+                for n, (x, y) in enumerate(zip(ra, rb)):
+                    acc[n] += x * y
+                continue
+            nonzero = [(n, y) for n, y in enumerate(rb) if y]
+            for m, x in enumerate(ra):
+                if x:
+                    for n, y in nonzero:
+                        if m + n > cap:
+                            break
+                        acc[m + n] += x * y
+    return out
+
+
+def _index_weight(t: Tree) -> int:
+    return sum(k for _, _, k in t.edges)
 
 
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
-    blacks = sorted(t.black)
-    pos = {v: i for i, v in enumerate(blacks)}
-    supports = _edge_supports(t)
-    factors = [
-        (tuple(pos[v] for v in sorted(supports[(u, v)])), k)
-        for u, v, k in t.edges
-        if k > 0
-    ]
-    total = Rat(0)
-    for m in positive_compositions(M, len(blacks)):
-        term = Rat(1)
-        for idxs, k in factors:
-            base = sum(m[i] for i in idxs)
-            term /= base**k
-        total += term
-    return total
+    if M < 0:
+        return Rat(0)
+    L = lcm(*range(1, M + 1))
+    rows = _tree_rows(t, t.root, t.black, frozenset(), M, L, 1)
+    return Rat(rows[0][M], L ** _index_weight(t))
 
 
 def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
@@ -92,52 +174,33 @@ def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
     """
     if u not in t.black:
         raise UnknownVertex(f"{u} is not a black vertex")
-    blacks = sorted(t.black)
-    others = [v for v in blacks if v != u]
-    pos = {v: i for i, v in enumerate(others)}
-    supports = _edge_supports(t)
-    factors = []
-    for a, b, k in t.edges:
-        if k == 0:
-            continue
-        sup = supports[(a, b)]
-        factors.append((tuple(pos[v] for v in sorted(sup) if v != u), u in sup, k))
-    coeffs = [Rat(0) for _ in range(order)]
-    tuples = chain.from_iterable(positive_compositions(n, len(others)) for n in range(1, M))
-    for m in tuples:
-        m_u = -sum(m)
-        scalar = Rat(1)
-        series: tuple | None = None
-        for idxs, has_u, k in factors:
-            base = sum(m[i] for i in idxs)
-            if has_u:
-                base += m_u
-                if base == 0:
-                    raise DegenerateBase(f"zero base on an edge of {t.key}")
-                expansion = _neg_power_coeffs(Rat(base), k, order)
-                if series is None:
-                    series = expansion
-                else:
-                    series = tuple(
-                        sum(series[i] * expansion[d - i] for i in range(d + 1))
-                        for d in range(order)
-                    )
-            else:
-                scalar /= base**k
-        if series is None:
-            coeffs[0] += scalar
-        else:
-            for d in range(order):
-                coeffs[d] += scalar * series[d]
-    return TSeries(tuple(coeffs), order)
+    return _shifted_sum(t, [u], M, order)
 
 
 def zeta_shat_tree(t: Tree, M: int, order: int) -> TSeries:
     """Sum of the u-shifted tree sums over all black vertices."""
-    out = TSeries.zeros(Rat(0), order)
-    for u in sorted(t.black):
-        out = out + zeta_tree_u(t, u, M, order)
-    return out
+    return _shifted_sum(t, sorted(t.black), M, order)
+
+
+def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
+    """Sum of zeta_tree_u over the black vertices `us`, reduced once."""
+    empty = TSeries.zeros(Rat(0), order)  # also rejects order < 1
+    if M < 2:
+        return empty
+    L = lcm(*range(1, M))
+    totals = [0] * order
+    for u in us:
+        # the edges whose summand set contains u lead from u up to the old root
+        path = []
+        v = t.parent[u]
+        while v is not None:
+            path.append(v)
+            v = t.parent[v]
+        rows = _tree_rows(t, u, t.black - {u}, frozenset(path), M - 1, L, order)
+        for d, r in enumerate(rows):
+            totals[d] += sum(r[1:])
+    K = _index_weight(t)
+    return TSeries([Rat(c, L ** (K + d)) for d, c in enumerate(totals)], order)
 
 
 def z_m_eval(a: HElem, M: int) -> object:

@@ -1,0 +1,122 @@
+"""Brute-force reference oracles, kept for differential tests only.
+
+These enumerate every increasing index tuple or every composition of M and
+add exact rationals term by term.  They are exponential in the depth or in
+the number of black vertices, and independent of the dynamic programs in
+``zetaforest.zeta`` that they check.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import chain, combinations
+
+from zetaforest.errors import DegenerateBase, UnknownVertex
+from zetaforest.indices import Tuple_, positive_compositions
+from zetaforest.rationals import Rat
+from zetaforest.series import TSeries, _neg_power_coeffs
+from zetaforest.trees import Tree
+
+
+@lru_cache(maxsize=None)
+def zeta_index(k: Tuple_, M: int) -> object:
+    """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
+    r = len(k)
+    total = Rat(0)
+    for ns in combinations(range(1, M), r):
+        term = Rat(1)
+        for n, e in zip(ns, k):
+            term /= n**e
+        total += term
+    return total
+
+
+@lru_cache(maxsize=4096)
+def _edge_supports(t: Tree) -> dict:
+    """For each edge, the set of black vertices whose root path crosses it
+    (equivalently: the black vertices strictly below the edge)."""
+    supports: dict[tuple[int, int], frozenset] = {}
+
+    def down(v: int, parent: int | None) -> set:
+        acc = set()
+        for u in t.adj[v]:
+            if u == parent:
+                continue
+            sub = down(u, v)
+            supports[(min(u, v), max(u, v))] = frozenset(sub)
+            acc |= sub
+        if v in t.black:
+            acc.add(v)
+        return acc
+
+    down(t.root, None)
+    return supports
+
+
+def zeta_tree(t: Tree, M: int) -> object:
+    """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
+    blacks = sorted(t.black)
+    pos = {v: i for i, v in enumerate(blacks)}
+    supports = _edge_supports(t)
+    factors = [
+        (tuple(pos[v] for v in sorted(supports[(u, v)])), k)
+        for u, v, k in t.edges
+        if k > 0
+    ]
+    total = Rat(0)
+    for m in positive_compositions(M, len(blacks)):
+        term = Rat(1)
+        for idxs, k in factors:
+            base = sum(m[i] for i in idxs)
+            term /= base**k
+        total += term
+    return total
+
+
+def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
+    """The u-shifted tree sum as a truncated series in t.
+
+    m_u is forced to the negative of the others' total (which stays below M);
+    each edge factor whose summand set contains u becomes (base + t)^-k,
+    expanded exactly to the requested order.
+    """
+    if u not in t.black:
+        raise UnknownVertex(f"{u} is not a black vertex")
+    blacks = sorted(t.black)
+    others = [v for v in blacks if v != u]
+    pos = {v: i for i, v in enumerate(others)}
+    supports = _edge_supports(t)
+    factors = []
+    for a, b, k in t.edges:
+        if k == 0:
+            continue
+        sup = supports[(a, b)]
+        factors.append((tuple(pos[v] for v in sorted(sup) if v != u), u in sup, k))
+    coeffs = [Rat(0) for _ in range(order)]
+    tuples = chain.from_iterable(positive_compositions(n, len(others)) for n in range(1, M))
+    for m in tuples:
+        m_u = -sum(m)
+        scalar = Rat(1)
+        series: tuple | None = None
+        for idxs, has_u, k in factors:
+            base = sum(m[i] for i in idxs)
+            if has_u:
+                base += m_u
+                if base == 0:
+                    raise DegenerateBase(f"zero base on an edge of {t.key}")
+                expansion = _neg_power_coeffs(Rat(base), k, order)
+                if series is None:
+                    series = expansion
+                else:
+                    series = tuple(
+                        sum(series[i] * expansion[d - i] for i in range(d + 1))
+                        for d in range(order)
+                    )
+            else:
+                scalar /= base**k
+        if series is None:
+            coeffs[0] += scalar
+        else:
+            for d in range(order):
+                coeffs[d] += scalar * series[d]
+    return TSeries(tuple(coeffs), order)

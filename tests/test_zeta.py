@@ -1,11 +1,24 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetaforest.catalog import hybrid_tree, linear_tree, star_tree, unit_tree
-from zetaforest.errors import NotInH1, UnknownVertex
+from zetaforest.catalog import (
+    builtin_catalog,
+    harvestable_catalog,
+    hybrid_tree,
+    linear_tree,
+    random_tree,
+    star_tree,
+    unit_tree,
+)
+from zetaforest.errors import DegenerateBase, NotInH1, UnknownVertex
+from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
 from zetaforest.series import rat_series
+from zetaforest.trees import Tree
 from zetaforest.words import HElem, harmonic
 from zetaforest.zeta import (
     z_m_eval,
@@ -15,6 +28,8 @@ from zetaforest.zeta import (
     zeta_tree,
     zeta_tree_u,
 )
+
+import enum_oracles
 
 
 def z(*k):
@@ -131,3 +146,52 @@ def test_shat_linearity_in_coefficients():
     got = z_shat(a, 4, 2)
     expected = z_shat(z(1), 4, 2).scale(2) - z_shat(z(2), 4, 2).scale(3)
     assert got == expected
+
+
+def assert_matches_enumeration(t, M, order=3):
+    assert zeta_tree(t, M) == enum_oracles.zeta_tree(t, M), (t.key, M)
+    total = rat_series([0] * order, order)
+    for u in sorted(t.black):
+        expected = enum_oracles.zeta_tree_u(t, u, M, order)
+        assert zeta_tree_u(t, u, M, order) == expected, (t.key, u, M)
+        total = total + expected
+    assert zeta_shat_tree(t, M, order) == total, (t.key, M)
+
+
+def test_oracles_match_enumeration():
+    rng = random.Random(0)
+    trees = builtin_catalog() + harvestable_catalog()
+    trees += [random_tree(rng) for _ in range(40)]
+    for t in trees:
+        for M in range(0, 9):
+            assert_matches_enumeration(t, M)
+    for k in all_indices(5):
+        for M in range(-1, 12):
+            assert zeta_index(k, M) == enum_oracles.zeta_index(k, M), (k, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_oracles_match_enumeration_on_random_trees(seed, M):
+    t = random_tree(random.Random(seed), max_vertices=7, k_cap=3)
+    assert_matches_enumeration(t, M)
+
+
+def test_deep_chain_does_not_recurse():
+    chain = linear_tree(*[1] * 1500)
+    leaf = max(chain.vertices)
+    assert zeta_tree(chain, 3) == 0
+    assert zeta_tree_u(chain, chain.root, 3, 3) == rat_series([0, 0, 0], 3)
+    assert zeta_tree_u(chain, leaf, 3, 3) == rat_series([0, 0, 0], 3)
+
+
+def test_zero_base_raises_degenerate_base():
+    # white terminals are invalid, and leave an edge with no black beyond it
+    white_root = Tree.build(0, [1, 2], [0], [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(DegenerateBase):
+        enum_oracles.zeta_tree_u(white_root, 2, 3, 3)
+    with pytest.raises(DegenerateBase):
+        zeta_tree_u(white_root, 2, 3, 3)
+    white_leaf = Tree.build(0, [0], [1], [(0, 1, 1)])
+    with pytest.raises(DegenerateBase):
+        zeta_tree(white_leaf, 2)
