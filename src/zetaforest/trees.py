@@ -43,6 +43,23 @@ from .words import HElem, right_mul_x_pow, shuffle_all
 Edge = tuple[int, int, int]  # (u, v, k) with u < v
 
 
+def orient(adj: dict, top: int) -> dict:
+    """Parent map of the tree with adjacency `adj` hung from `top`, which
+    maps to None.
+
+    Breadth-first, so every vertex is listed after its parent and the
+    reversed map lists children before parents.  O(V).
+    """
+    par: dict[int, int | None] = {top: None}
+    seq = [top]
+    for v in seq:
+        for w in adj[v]:
+            if w not in par:
+                par[w] = v
+                seq.append(w)
+    return par
+
+
 @dataclass(frozen=True)
 class Tree:
     root: int
@@ -71,15 +88,7 @@ class Tree:
     @cached_property
     def parent(self) -> dict:
         """Parent map oriented away from the root (root maps to None)."""
-        par: dict[int, int | None] = {self.root: None}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for u in self.adj[v]:
-                if u not in par:
-                    par[u] = v
-                    stack.append(u)
-        return par
+        return orient(self.adj, self.root)
 
     @cached_property
     def key(self) -> str:
@@ -166,30 +175,39 @@ def unit_tree() -> Tree:
     return Tree.build(0, [0], [], [])
 
 
-def is_essentially_positive(t: Tree) -> bool:
-    """True iff every path between two distinct black vertices has positive weight.
+def _zero_blocks(t: Tree) -> dict | None:
+    """Where contracting every 0-edge sends each vertex, or None when a block
+    of 0-edges holds two black vertices.
 
-    Equivalent formulation used here: no connected component of the subgraph
-    of 0-indexed edges contains two black vertices.
+    A block goes to its black vertex if it has one, else to its least vertex
+    id.  Union-find with path halving, O(V log V).
     """
-    seen: set[int] = set()
-    for start in t.vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        blacks = 0
-        while comp:
-            v = comp.pop()
-            if v in t.black:
-                blacks += 1
-                if blacks > 1:
-                    return False
-            for u, k in t.adj[v].items():
-                if k == 0 and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-    return True
+    up = {v: v for v in t.vertices}
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    for u, v, k in t.edges:
+        if k == 0:
+            a, b = find(u), find(v)
+            if b in t.black or (a not in t.black and b < a):
+                a, b = b, a
+            if b in t.black:
+                return None
+            up[b] = a
+    return {v: find(v) for v in t.vertices}
+
+
+def is_essentially_positive(t: Tree) -> bool:
+    """True iff every path between two distinct black vertices has positive
+    weight, that is, iff no block of 0-edges holds two black vertices.
+
+    One union-find pass over the 0-edges, O(V log V).
+    """
+    return _zero_blocks(t) is not None
 
 
 def circ_product(a: Tree, b: Tree) -> Tree:
@@ -234,108 +252,42 @@ def is_harvestable(t: Tree) -> bool:
 
 
 def harvestable_form(t: Tree) -> Tree:
-    """Rewrite an essentially positive pair into a harvestable one.
+    """The harvestable pair of an essentially positive one, built directly.
 
-    In order and each to fixpoint: (i) contract every 0-indexed edge with a
-    white endpoint (the merged vertex is black iff either endpoint was; the
-    root always survives); (ii) joint the two edges at every white vertex of
-    degree 2, summing their indices; (iii) hoist the children of every
-    branched black non-root vertex onto a new white vertex joined by a
-    0-edge; (iv) the same hoisting at the root when it is not terminal.
+    1. Contract: every 0-edge has a white endpoint, and each block of 0-edges
+       becomes one vertex: its black vertex (the root if the block holds it),
+       or else its least vertex id.
+    2. Splice: every white vertex of degree 2 goes, and its two edges become
+       one whose index is their sum.
+    3. Hoist: each branched black non-root vertex in increasing id order,
+       then the root if it is not terminal, hands its children to a fresh
+       white vertex joined to it by a 0-edge.  Fresh ids count up from the
+       largest id of `t` plus one.
+
+    Each step is one pass; the whole costs O(V log V).
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
-    if not is_essentially_positive(t):
+    block = _zero_blocks(t)
+    if block is None:
         raise NotEssentiallyPositive(t.key)
-    color = {v: v in t.black for v in t.vertices}
-    adj: dict[int, dict[int, int]] = {v: dict(t.adj[v]) for v in t.vertices}
+    adj: dict[int, dict[int, int]] = {v: {} for v in block.values()}
+    for u, v, k in t.edges:
+        if k:
+            adj[block[u]][block[v]] = adj[block[v]][block[u]] = k
+    for v in list(adj):
+        if v not in t.black and len(adj[v]) == 2:
+            (a, ka), (b, kb) = adj.pop(v).items()
+            del adj[a][v], adj[b][v]
+            adj[a][b] = adj[b][a] = ka + kb
     root = t.root
-    fresh = max(t.vertices) + 1
-
-    def drop_edge(u: int, v: int) -> None:
-        del adj[u][v]
-        del adj[v][u]
-
-    def add_edge(u: int, v: int, k: int) -> None:
-        adj[u][v] = k
-        adj[v][u] = k
-
-    while True:
-        target = None
-        for u in sorted(adj):
-            for v in sorted(adj[u]):
-                if u < v and adj[u][v] == 0 and not (color[u] and color[v]):
-                    target = (u, v)
-                    break
-            if target:
-                break
-        if target is None:
-            break
-        u, v = target
-        if root in target:
-            keep, gone = (u, v) if u == root else (v, u)
-        elif color[u] != color[v]:
-            keep, gone = (u, v) if color[u] else (v, u)
-        else:
-            keep, gone = u, v
-        drop_edge(u, v)
-        for w, k in list(adj[gone].items()):
-            drop_edge(gone, w)
-            add_edge(keep, w, k)
-        color[keep] = color[keep] or color[gone]
-        del adj[gone], color[gone]
-
-    while True:
-        cand = [v for v in sorted(adj) if not color[v] and len(adj[v]) == 2]
-        if not cand:
-            break
-        v = cand[0]
-        (a, ka), (b, kb) = sorted(adj[v].items())
-        drop_edge(v, a)
-        drop_edge(v, b)
-        del adj[v], color[v]
-        add_edge(a, b, ka + kb)
-
-    def parents() -> dict:
-        par: dict[int, int | None] = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in par:
-                    par[y] = x
-                    stack.append(y)
-        return par
-
-    def hoist(v: int, kids: list) -> None:
-        nonlocal fresh
-        w = fresh
-        fresh += 1
-        color[w] = False
-        adj[w] = {}
-        for u, k in kids:
-            drop_edge(v, u)
-            add_edge(w, u, k)
-        add_edge(v, w, 0)
-
-    while True:
-        par = parents()
-        cand = [v for v in sorted(adj) if color[v] and v != root and len(adj[v]) >= 3]
-        if not cand:
-            break
-        v = cand[0]
-        hoist(v, [(u, k) for u, k in sorted(adj[v].items()) if u != par[v]])
-
+    hoisted = [v for v in sorted(adj) if v in t.black and v != root and len(adj[v]) >= 3]
     if len(adj[root]) >= 2:
-        hoist(root, sorted(adj[root].items()))
-
-    edges = [(u, v, k) for u in adj for v, k in adj[u].items() if u < v]
-    return Tree.build(
-        root,
-        [v for v in adj if color[v]],
-        [v for v in adj if not color[v]],
-        edges,
-    )
+        hoisted.append(root)
+    fresh = {v: max(t.vertices) + 1 + i for i, v in enumerate(hoisted)}
+    edges = [(fresh.get(p, p), v, adj[v][p]) for v, p in orient(adj, root).items() if p is not None]
+    edges += [(v, w, 0) for v, w in fresh.items()]
+    return Tree.build(root, adj.keys() & t.black, (adj.keys() - t.black) | set(fresh.values()), edges)
 
 
 def circ_h(a: Tree, b: Tree) -> Tree:
@@ -343,50 +295,38 @@ def circ_h(a: Tree, b: Tree) -> Tree:
     return harvestable_form(circ_product(a, b))
 
 
-def _stem(t: Tree, anchor: int, child: int, k: int) -> Tree:
-    """Subtree hanging off `anchor` at `child`, re-rooted on a fresh black vertex
-    joined to `child` by an edge of index k."""
-    seen = {child}
-    stack = [child]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u != anchor and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    fresh = max(t.vertices) + 1
-    edges = [e for e in t.edges if e[0] in seen and e[1] in seen]
-    edges.append((fresh, child, k))
-    return Tree.build(fresh, (t.black & seen) | {fresh}, t.white & seen, edges)
-
-
 def w_word(t: Tree) -> HElem:
-    """Extract the word of a harvestable pair.
+    """The word of a harvestable pair, from one fold over its vertices,
+    children before parents.
 
-    Walking up the black chain from the terminal root collects the z-indices
-    (root edge last); a white branch vertex contributes the shuffle of its
-    stems' words followed by x to the power of the chain-top edge.
+    Each non-root vertex with parent edge index k passes up its stem, a word
+    `head` followed by the z-word of a black index `run`, bottom first.  A
+    black vertex appends k to its child's run (a black leaf starts one after
+    the unit word); a white vertex's stem is the shuffle of its children's
+    stems times x^k, with an empty run.  Each maximal black run is turned into
+    z-letters once, when its white parent or the root closes it.  The word is
+    the closed stem below the terminal root, or 1 for the single vertex.  The
+    fold is O(V) steps; the shuffles at white vertices dominate.
     """
     if not is_harvestable(t):
         raise NotHarvestable(t.key)
-    return _w(t)
+    stems: dict[int, list] = {v: [] for v in t.parent}
 
+    def close(head: HElem, run: list) -> HElem:
+        return head.concat(HElem.from_index(tuple(run)))
 
-def _w(t: Tree) -> HElem:
-    chain: list[int] = []
-    prev, cur = None, t.root
-    while True:
-        nxt = [(u, k) for u, k in sorted(t.adj[cur].items()) if u != prev]
-        if not nxt:
-            return HElem.from_index(tuple(reversed(chain)))
-        ((u, k),) = nxt
-        if u in t.black:
-            chain.append(k)
-            prev, cur = cur, u
-            continue
-        stems = [_w(_stem(t, u, c, l)) for c, l in sorted(t.adj[u].items()) if c != cur]
-        out = right_mul_x_pow(shuffle_all(stems), k)
-        return out.concat(HElem.from_index(tuple(reversed(chain))))
+    for v, p in reversed(t.parent.items()):
+        if p is None:
+            break
+        k = t.adj[v][p]
+        if v in t.black:
+            # a black non-root vertex of a harvestable pair has at most one child
+            head, run = stems[v][0] if stems[v] else (HElem.unit(), [])
+            run.append(k)
+        else:
+            head, run = right_mul_x_pow(shuffle_all(close(*st) for st in stems[v]), k), []
+        stems[p].append((head, run))
+    return close(*stems[t.root][0]) if stems[t.root] else HElem.unit()
 
 
 class TreeCombo(Combo):
@@ -465,13 +405,18 @@ def cap_phi(t: Tree) -> TreeCombo:
 
 
 def parse_tree(s: str) -> Tree:
-    """Parse the tree DSL; the resulting tree is validated."""
+    """Parse the tree DSL; the resulting tree is validated.
+
+    One left-to-right scan with an explicit stack of open vertices, so the
+    nesting depth is not bounded by the recursion limit.  Vertex ids count
+    up in the order the vertices open.
+    """
     pos = 0
     n = len(s)
     black: set[int] = set()
     white: set[int] = set()
     edges: list[tuple[int, int, int]] = []
-    next_id = 0
+    stack: list[int] = []  # vertices whose ")" is still to come
 
     def skip() -> None:
         nonlocal pos
@@ -495,37 +440,39 @@ def parse_tree(s: str) -> Tree:
             raise TreeSyntaxError("expected an edge index", pos)
         return int(s[start:pos])
 
-    def node() -> int:
-        nonlocal pos, next_id
+    k = 0  # index of the edge from stack[-1] to the next vertex
+    while True:
         skip()
         if pos >= n or s[pos] not in "bw":
             raise TreeSyntaxError("expected color 'b' or 'w'", pos)
-        vid = next_id
-        next_id += 1
+        vid = len(black) + len(white)
         (black if s[pos] == "b" else white).add(vid)
+        if stack:
+            edges.append((stack[-1], vid, k))
         pos += 1
         expect("(")
         skip()
         if pos < n and s[pos] == ")":
             pos += 1
-            return vid
-        while True:
-            k = nat()
-            expect(":")
-            child = node()
-            edges.append((vid, child, k))
-            skip()
-            if pos < n and s[pos] == ",":
-                pos += 1
-                continue
-            expect(")")
-            return vid
+            # close vertices until one goes on with a further edge
+            while stack:
+                skip()
+                if pos < n and s[pos] == ",":
+                    pos += 1
+                    break
+                expect(")")
+                stack.pop()
+            else:
+                break
+        else:
+            stack.append(vid)
+        k = nat()
+        expect(":")
 
-    root = node()
     skip()
     if pos != n:
         raise TreeSyntaxError("unexpected trailing input", pos)
-    t = Tree.build(root, black, white, edges)
+    t = Tree.build(0, black, white, edges)
     t.validate()
     return t
 

@@ -20,7 +20,7 @@ from .catalog import (
     symmetric_hybrid_tree,
     unit_tree,
 )
-from .errors import UnknownSuite
+from .errors import UnknownSuite, ZetaForestError
 from .indices import (
     Tuple_,
     all_indices,
@@ -194,12 +194,19 @@ def main_lhs(t: Tree, order: int) -> TSeries:
     return phi_hat(w_word(harvestable_form(t)), order)
 
 
+def harvested_terms(t: Tree, order: int) -> list:
+    """The terms of `symmetrization_terms`, each re-rooted tree replaced by
+    its harvestable form.  They do not depend on M, so a sweep over M builds
+    them once per tree."""
+    return [(d, c, harvestable_form(shifted)) for d, c, shifted in symmetrization_terms(t, order)]
+
+
 def main_rhs(t: Tree, order: int) -> TSeries:
     """Tree-side of the main identity: signed, b-weighted words of the
     harvestable forms of the re-rooted index-bumped trees."""
     rows: list[dict] = [{} for _ in range(order)]
-    for degree, coeff, shifted in symmetrization_terms(t, order):
-        w_word(harvestable_form(shifted)).add_into(rows[degree], coeff)
+    for degree, coeff, hf in harvested_terms(t, order):
+        w_word(hf).add_into(rows[degree], coeff)
     return TSeries(map(HElem._wrap, rows), order)
 
 
@@ -215,10 +222,12 @@ def diagram_rhs(t: Tree, order: int) -> TSeries:
     return cap_phi_hat(t, order).map(harvest_words)
 
 
-def root_change_rhs(t: Tree, M: int, order: int) -> TSeries:
+def root_change_rhs(terms: list, M: int, order: int) -> TSeries:
+    """Tree sums at M of the harvested terms of a tree, one t-degree each;
+    `terms` comes from `harvested_terms(t, order)`."""
     rows = [Rat(0) for _ in range(order)]
-    for degree, coeff, shifted in symmetrization_terms(t, order):
-        rows[degree] += coeff * zeta_tree(harvestable_form(shifted), M)
+    for degree, coeff, hf in terms:
+        rows[degree] += coeff * zeta_tree(hf, M)
     return TSeries(tuple(rows), order)
 
 
@@ -257,7 +266,7 @@ def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
         t2 = Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges)
         try:
             t2.validate()
-        except Exception:
+        except ZetaForestError:
             continue
         if is_essentially_positive(t2):
             c = rebuild(t2)
@@ -367,18 +376,22 @@ def _suite_root_change(cfg: RunConfig) -> Iterator[Case]:
     order = cfg.t_order
     trees = [t for t in harvestable_catalog() if len(t.vertices) > 1]
 
-    def make(t: Tree, M: int) -> Optional[Case]:
-        if not is_harvestable(t) or len(t.vertices) == 1:
-            return None
+    def make(t: Tree, M: int, terms: list) -> Case:
         return Case(
             key=f"tree={t.key} M={M} t_order={order}",
-            check=lambda: _diff(zeta_shat_tree(t, M, order), root_change_rhs(t, M, order)),
-            shrink=lambda: _tree_shrinks(t, lambda t2: make(harvestable_form(t2), M)),
+            check=lambda: _diff(zeta_shat_tree(t, M, order), root_change_rhs(terms, M, order)),
+            shrink=lambda: _tree_shrinks(t, lambda t2: shrunk(harvestable_form(t2), M)),
         )
 
+    def shrunk(t: Tree, M: int) -> Optional[Case]:
+        if len(t.vertices) == 1:
+            return None
+        return make(t, M, harvested_terms(t, order))
+
     for t in trees:
+        terms = harvested_terms(t, order)
         for M in range(1, cfg.m_max + 1):
-            yield make(t, M)
+            yield make(t, M, terms)
 
 
 def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
@@ -425,8 +438,9 @@ def _suite_main(cfg: RunConfig) -> Iterator[Case]:
             d = _diff(lhs, diagram_rhs(t, order))
             if d:
                 return "diagram: " + d
+            terms = harvested_terms(t, order)
             for M in range(1, cfg.m_max + 1):
-                d = _diff(z_m_series(lhs, M), root_change_rhs(t, M, order))
+                d = _diff(z_m_series(lhs, M), root_change_rhs(terms, M, order))
                 if d:
                     return f"numeric at M={M}: " + d
             return None

@@ -47,7 +47,7 @@ from .indices import Tuple_
 from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi_hat
-from .trees import Tree
+from .trees import Tree, orient
 from .words import HElem
 
 
@@ -83,13 +83,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
     """
     adj = t.adj
-    parent = {top: None}
-    seq = [top]
-    for v in seq:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                seq.append(w)
+    parent = orient(adj, top)
     quot = [0] + [L // n for n in range(1, cap + 1)]
     factors: dict = {}
 
@@ -108,7 +102,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
         return factors[key]
 
     vectors: dict[int, list] = {}
-    for v in reversed(seq):
+    for v in reversed(parent):
         rows = None
         for w, k in adj[v].items():
             if w == parent[v]:

@@ -2,12 +2,15 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaforest.catalog import (
     black_fork_tree,
     builtin_catalog,
     hybrid_tree,
     linear_tree,
+    random_harvestable,
     random_tree,
     star_tree,
     symmetric_hybrid_tree,
@@ -32,10 +35,12 @@ from zetaforest.trees import (
     harvestable_form,
     is_essentially_positive,
     is_harvestable,
+    parse_tree,
     tree_to_json,
     w_word,
 )
 from zetaforest.words import HElem, right_mul_x_pow, shuffle
+from zetaforest.zeta import zeta_tree
 
 
 def z(*k):
@@ -67,6 +72,12 @@ def test_key_and_json_of_deep_chain():
         walked.append(edge["index"])
         obj = edge["child"]
     assert walked == ks
+    # a 1200-deep nest of alternating colors, as well as the chain itself
+    depth = 1200
+    nest = Tree.build(0, range(0, depth + 1, 2), range(1, depth, 2),
+                      [(i, i + 1, 1 + i % 2) for i in range(depth)])
+    for deep in (t, nest):
+        assert parse_tree(deep.key) == deep
 
 
 def test_non_planar_equality():
@@ -275,6 +286,32 @@ def test_harvestable_form_idempotent_on_image():
     for _ in range(80):
         hf = harvestable_form(random_tree(rng, 6, 2))
         assert harvestable_form(hf).key == hf.key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_harvestable_form_contract_on_random_trees(seed):
+    rng = random.Random(seed)
+    t = random_tree(rng, max_vertices=7, k_cap=2)
+    hf = harvestable_form(t)
+    assert is_harvestable(hf), (t.key, hf.key)
+    hf.validate()
+    assert harvestable_form(hf).key == hf.key
+    for M in range(7):
+        assert zeta_tree(t, M) == zeta_tree(hf, M), (t.key, M)
+    ids = list(t.vertices)
+    perm = dict(zip(ids, rng.sample(range(3, 3 + 2 * len(ids)), len(ids))))
+    assert harvestable_form(relabel(t, perm)).key == hf.key
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_circ_h_laws_on_random_triples(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_harvestable(rng, max_vertices=5, k_cap=2) for _ in range(3))
+    assert circ_h(a, b).key == circ_h(b, a).key
+    assert circ_h(circ_h(a, b), c).key == circ_h(a, circ_h(b, c)).key
+    assert circ_h(a, unit_tree()).key == a.key
 
 
 def test_circ_h_examples():
