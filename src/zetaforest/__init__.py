@@ -9,8 +9,7 @@ oracles that evaluate everything numerically for machine verification.
 
 from .errors import ZetaForestError
 from .indices import (
-    b_binom,
-    bounded_vectors,
+    bumps,
     depth,
     tuple_add,
     tuple_reverse,
@@ -61,8 +60,7 @@ __all__ = [
     "Tree",
     "TreeCombo",
     "ZetaForestError",
-    "b_binom",
-    "bounded_vectors",
+    "bumps",
     "cap_phi",
     "cap_phi_hat",
     "circ_h",

@@ -7,7 +7,7 @@ empty index.  Weight is the entry sum, depth the length.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from .errors import BadIndex, DepthMismatch
@@ -51,33 +51,30 @@ def tuple_split(k: Tuple_, i: int) -> tuple[Tuple_, Tuple_]:
     return tuple(k[:i]), tuple(k[i:])
 
 
-def b_entry(k: int, l: int) -> int:
-    """Binomial C(k+l-1, l), with C(l-1, l) read as 1 if l == 0 else 0."""
-    if k == 0:
-        return 1 if l == 0 else 0
-    return comb(k + l - 1, l)
+def bumps(ks: Tuple_, cap: int) -> Iterator[tuple[Tuple_, int]]:
+    """(l, b(ks; l)) for each l >= 0 with wt(l) <= cap and nonzero weight
+    b(ks; l) = prod C(k_i + l_i - 1, l_i), in lexicographic order of l.
 
-
-def b_binom(k: Tuple_, l: Tuple_) -> int:
-    """Product of b_entry over components; empty tuples give 1."""
-    if len(k) != len(l):
-        raise DepthMismatch(f"depth {len(k)} vs {len(l)}")
-    out = 1
-    for a, b in zip(k, l):
-        out *= b_entry(a, b)
-        if out == 0:
-            return 0
-    return out
-
-
-def bounded_vectors(dim: int, cap: int) -> Iterator[Tuple_]:
-    """All tuples in Z_{>=0}^dim with entry sum <= cap, lexicographic."""
-    if dim == 0:
-        yield ()
+    An entry k_i = 0 allows only l_i = 0, as C(l - 1, l) = 0 for l > 0.  An
+    odometer, not a recursion, so any depth works, at O(depth) per step.
+    """
+    if cap < 0:
         return
-    for head in range(cap + 1):
-        for rest in bounded_vectors(dim - 1, cap - head):
-            yield (head,) + rest
+    free = [i for i, k in enumerate(ks) if k]  # the positions that may be bumped
+    d = len(ks)
+    l, facs = [0] * d, [1] * d
+    total = j = 0  # free[j]: the position bumped last, the last nonzero one of l
+    while True:
+        yield tuple(l), prod(facs)
+        # the successor bumps the last position with room and clears the rest
+        j = len(free) - 1 if total < cap else j - 1
+        if j < 0:
+            return
+        p = free[j]
+        l[p] += 1
+        facs[p] = comb(ks[p] + l[p] - 1, l[p])
+        l[p + 1 :], facs[p + 1 :] = [0] * (d - p - 1), [1] * (d - p - 1)
+        total = sum(l)
 
 
 def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:

@@ -15,23 +15,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import Tuple_, b_binom, bounded_vectors, tuple_add, tuple_reverse, weight
+from .indices import Tuple_, bumps, tuple_add, tuple_reverse, weight
 from .series import TSeries
 from .words import HElem, shuffle
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _phi_hat_index(k: Tuple_, order: int) -> TSeries:
-    r = len(k)
     rows: list[dict] = [{} for _ in range(order)]
-    for i in range(r + 1):
+    for i in range(len(k) + 1):
         head, tail = k[:i], k[i:]
         sign = -1 if weight(tail) % 2 else 1
         left = HElem.from_index(head)
-        for l in bounded_vectors(len(tail), order - 1):
-            b = b_binom(tail, l)
-            if not b:
-                continue
+        for l, b in bumps(tail, order - 1):
             right = HElem.from_index(tuple_reverse(tuple_add(tail, l)))
             shuffle(left, right).add_into(rows[sum(l)], sign * b)
     return TSeries(map(HElem._wrap, rows), order)

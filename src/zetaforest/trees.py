@@ -35,7 +35,7 @@ from .errors import (
     TreeSyntaxError,
     UnknownVertex,
 )
-from .indices import b_binom, bounded_vectors
+from .indices import bumps
 from .rationals import rat_str
 from .series import TSeries
 from .words import HElem, right_mul_x_pow, shuffle_all
@@ -258,7 +258,8 @@ def harvestable_form(t: Tree) -> Tree:
        becomes one vertex: its black vertex (the root if the block holds it),
        or else its least vertex id.
     2. Splice: every white vertex of degree 2 goes, and its two edges become
-       one whose index is their sum.
+       one whose index is their sum.  A white vertex of degree <= 1 here is a
+       white terminal: `TerminalNotBlack`.
     3. Hoist: each branched black non-root vertex in increasing id order,
        then the root if it is not terminal, hands its children to a fresh
        white vertex joined to it by a 0-edge.  Fresh ids count up from the
@@ -276,7 +277,9 @@ def harvestable_form(t: Tree) -> Tree:
         if k:
             adj[block[u]][block[v]] = adj[block[v]][block[u]] = k
     for v in list(adj):
-        if v not in t.black and len(adj[v]) == 2:
+        if v not in t.black and len(adj[v]) <= 2:
+            if len(adj[v]) < 2:
+                raise TerminalNotBlack(f"terminal vertex {v} is white")
             (a, ka), (b, kb) = adj.pop(v).items()
             del adj[a][v], adj[b][v]
             adj[a][b] = adj[b][a] = ka + kb
@@ -381,10 +384,7 @@ def symmetrization_terms(t: Tree, order: int):
         path = t.path_edges(t.root, v)
         ks = tuple(t.adj[a][b] for a, b in path)
         sign = -1 if sum(ks) % 2 else 1
-        for l in bounded_vectors(len(path), order - 1):
-            b = b_binom(ks, l)
-            if not b:
-                continue
+        for l, b in bumps(ks, order - 1):
             bump = dict(zip(path, l))
             edges = [(u, w, k + bump.get((u, w), 0)) for u, w, k in t.edges]
             yield sum(l), sign * b, Tree.build(v, t.black, t.white, edges)

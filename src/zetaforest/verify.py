@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable, Iterator, Optional
 
 from .catalog import (
@@ -21,15 +20,7 @@ from .catalog import (
     unit_tree,
 )
 from .errors import UnknownSuite, ZetaForestError
-from .indices import (
-    Tuple_,
-    all_indices,
-    b_binom,
-    bounded_vectors,
-    tuple_add,
-    tuple_reverse,
-    weight,
-)
+from .indices import Tuple_, all_indices, bumps, tuple_add, tuple_reverse, weight
 from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi, phi_hat
@@ -136,41 +127,33 @@ def _diff(lhs, rhs) -> Optional[str]:
 # identity builders (the right-hand sides of the checked equalities)
 
 
-def btt_lhs(ks: Tuple_) -> HElem:
-    """phi of (z_{k_1} sh ... sh z_{k_r}) x^{k_{r+1}}."""
-    prod = shuffle_all(_z(k) for k in ks[:-1])
-    return phi(right_mul_x_pow(prod, ks[-1]))
-
-
-def btt_rhs(ks: Tuple_) -> HElem:
-    """Signed sum over skipped positions: one factor moves into the x power."""
-    data: dict = {}
-    for i, ki in enumerate(ks):
-        rest = ks[:i] + ks[i + 1 :]
-        sign = -1 if (ki + ks[-1]) % 2 else 1
-        right_mul_x_pow(shuffle_all(_z(k) for k in rest), ki).add_into(data, sign)
-    return HElem._wrap(data)
-
-
 def t_btt_lhs(ks: Tuple_, order: int) -> TSeries:
-    prod = shuffle_all(_z(k) for k in ks[:-1])
-    return phi_hat(right_mul_x_pow(prod, ks[-1]), order)
+    """phi_hat of (z_{k_1} sh ... sh z_{k_r}) x^{k_{r+1}}."""
+    return phi_hat(right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1]), order)
 
 
 def t_btt_rhs(ks: Tuple_, order: int) -> TSeries:
-    r = len(ks) - 1
+    """Signed sum over skipped positions i: z_{k_i} moves into the x power,
+    and (k_i, k_{r+1}) take every bump l with weight b((k_i, k_{r+1}); l)."""
     rows: list[dict] = [{} for _ in range(order)]
     right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1]).add_into(rows[0])
-    for i in range(r):
+    for i in range(len(ks) - 1):
         sign = -1 if (ks[i] + ks[-1]) % 2 else 1
-        others = ks[:i] + ks[i + 1 : r]
-        for l in range(order):
-            for lp in range(order - l):
-                c = comb(ks[i] + l - 1, l) * comb(ks[-1] + lp - 1, lp)
-                factors = [_z(k) for k in others] + [_z(ks[-1] + lp)]
-                term = right_mul_x_pow(shuffle_all(factors), ks[i] + l)
-                term.add_into(rows[l + lp], sign * c)
+        others = [_z(k) for k in ks[:i] + ks[i + 1 : -1]]
+        for (l, lp), b in bumps((ks[i], ks[-1]), order - 1):
+            term = right_mul_x_pow(shuffle_all(others + [_z(ks[-1] + lp)]), ks[i] + l)
+            term.add_into(rows[l + lp], sign * b)
     return TSeries(map(HElem._wrap, rows), order)
+
+
+def btt_lhs(ks: Tuple_) -> HElem:
+    """Constant term of `t_btt_lhs`."""
+    return t_btt_lhs(ks, 1).coeffs[0]
+
+
+def btt_rhs(ks: Tuple_) -> HElem:
+    """Constant term of `t_btt_rhs`."""
+    return t_btt_rhs(ks, 1).coeffs[0]
 
 
 def kaneko_lhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
@@ -180,10 +163,7 @@ def kaneko_lhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
 def kaneko_rhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
     sign = -1 if weight(l) % 2 else 1
     rows: list[dict] = [{} for _ in range(order)]
-    for lp in bounded_vectors(len(l), order - 1):
-        b = b_binom(l, lp)
-        if not b:
-            continue
+    for lp, b in bumps(l, order - 1):
         word = HElem.from_index(k + tuple_reverse(tuple_add(l, lp)))
         for row, image in zip(rows[sum(lp) :], phi_hat(word, order).coeffs):
             image.add_into(row, sign * b)
@@ -279,38 +259,33 @@ def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
 # suites
 
 
-def _suite_btt(cfg: RunConfig) -> Iterator[Case]:
+def _skip_one_cases(cfg: RunConfig, depths: tuple, suffix: str,
+                    lhs: Callable, rhs: Callable) -> Iterator[Case]:
+    """The BTT cases: every index of depth r + 1, r in `depths`."""
+
     def make(ks: Tuple_) -> Optional[Case]:
         if len(ks) < 2 or not all(e >= 1 for e in ks):
             return None
         return Case(
-            key=f"index={','.join(map(str, ks))}",
-            check=lambda: _diff(btt_lhs(ks), btt_rhs(ks)),
+            key=f"index={','.join(map(str, ks))}{suffix}",
+            check=lambda: _diff(lhs(ks), rhs(ks)),
             shrink=lambda: _index_shrinks(ks, make),
         )
 
-    for r in (1, 2, 3):
+    for r in depths:
         for ks in all_indices(cfg.weight_max):
             if len(ks) == r + 1:
                 yield make(ks)
+
+
+def _suite_btt(cfg: RunConfig) -> Iterator[Case]:
+    return _skip_one_cases(cfg, (1, 2, 3), "", btt_lhs, btt_rhs)
 
 
 def _suite_t_btt(cfg: RunConfig) -> Iterator[Case]:
     order = cfg.t_order
-
-    def make(ks: Tuple_) -> Optional[Case]:
-        if len(ks) < 2 or not all(e >= 1 for e in ks):
-            return None
-        return Case(
-            key=f"index={','.join(map(str, ks))} t_order={order}",
-            check=lambda: _diff(t_btt_lhs(ks, order), t_btt_rhs(ks, order)),
-            shrink=lambda: _index_shrinks(ks, make),
-        )
-
-    for r in (1, 2):
-        for ks in all_indices(cfg.weight_max):
-            if len(ks) == r + 1:
-                yield make(ks)
+    return _skip_one_cases(cfg, (1, 2), f" t_order={order}",
+                           lambda ks: t_btt_lhs(ks, order), lambda ks: t_btt_rhs(ks, order))
 
 
 def _suite_kaneko(cfg: RunConfig) -> Iterator[Case]:
@@ -325,10 +300,7 @@ def _suite_kaneko(cfg: RunConfig) -> Iterator[Case]:
             d = _diff(kaneko_lhs(k, l, order), kaneko_rhs(k, l, order))
             if d:
                 return "series: " + d
-            lhs0 = phi(shuffle(HElem.from_index(k), HElem.from_index(l)))
-            sign = -1 if weight(l) % 2 else 1
-            rhs0 = sign * phi(HElem.from_index(k + tuple_reverse(l)))
-            d = _diff(lhs0, rhs0)
+            d = _diff(kaneko_lhs(k, l, 1).coeffs[0], kaneko_rhs(k, l, 1).coeffs[0])
             return "constant: " + d if d else None
 
         def shrink() -> list:

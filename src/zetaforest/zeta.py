@@ -40,10 +40,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
+from math import lcm
 
 from .errors import DegenerateBase, UnknownVertex
-from .indices import Tuple_
+from .indices import Tuple_, bumps
 from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi_hat
@@ -89,17 +89,14 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
 
     def edge_factors(k: int, flip: bool) -> list:
         # factor rows by t-degree l, as numerators over L^(k+l)
-        key = (k, flip)
-        if key not in factors:
+        if (k, flip) not in factors:
             if flip:
                 sign = -1 if k % 2 else 1
-                factors[key] = [
-                    [sign * comb(k + l - 1, l) * q ** (k + l) for q in quot]
-                    for l in range(order)
-                ]
+                factors[k, flip] = [[sign * b * q ** (k + l) for q in quot]
+                                    for (l,), b in bumps((k,), order - 1)]
             else:
-                factors[key] = [[q**k for q in quot]]
-        return factors[key]
+                factors[k, flip] = [[q**k for q in quot]]
+        return factors[k, flip]
 
     vectors: dict[int, list] = {}
     for v in reversed(parent):

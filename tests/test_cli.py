@@ -115,6 +115,17 @@ def test_cap_phi_hat_json(capsys):
     assert obj["coeffs"][0]["terms"][0]["tree"] == {"color": "b", "edges": []}
 
 
+def test_cap_phi_hat_deep_path(capsys):
+    # 1100 edges from the root to the far black leaf: the bump vectors on that
+    # path once came from a recursive enumerator that exceeded the recursion
+    # limit.  The inner 0-edges take no bumps, so there are 3 + 1 terms, not
+    # 1101 trees of 1101 vertices to key.
+    path = "b(1:" + "w(0:" * 1098 + "w(1:b()" + ")" * 1099 + ")"
+    code, out, _ = run_cli(capsys, "cap-phi-hat", "--t-order", "2", "--tree", path)
+    assert code == 0
+    assert out.endswith("*t + O(t^2)\n")
+
+
 def test_zeta_shat_command(capsys):
     code, out, _ = run_cli(
         capsys, "zeta-shat", "--tree", "b(1:b())", "-M", "3", "--t-order", "3"

@@ -1,3 +1,5 @@
+from math import comb, prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,9 +7,7 @@ from hypothesis import strategies as st
 from zetaforest.errors import DepthMismatch
 from zetaforest.indices import (
     all_indices,
-    b_binom,
-    b_entry,
-    bounded_vectors,
+    bumps,
     depth,
     positive_compositions,
     tuple_add,
@@ -46,20 +46,49 @@ def test_split():
         tuple_split((1, 2), 3)
 
 
-def test_b_binom():
-    assert b_binom((2,), (3,)) == 4
-    assert b_binom((0,), (2,)) == 0
-    assert b_binom((3, 2), (0, 0)) == 1
-    assert b_binom((), ()) == 1
-    with pytest.raises(DepthMismatch):
-        b_binom((1,), (1, 2))
+def test_bumps_count_positive_entries():
+    # with every k_i > 0 no weight vanishes: all C(d + cap, cap) vectors appear
+    for d in range(5):
+        for cap in range(5):
+            got = list(bumps((1, 3, 2, 1)[:d], cap))
+            assert len(got) == comb(d + cap, cap)
+            assert all(sum(l) <= cap for l, _ in got)
+    assert list(bumps((), 3)) == [((), 1)]
+    assert list(bumps((1, 2), -1)) == []
 
 
-def test_b_entry_convention():
-    assert b_entry(0, 0) == 1
-    assert b_entry(0, 5) == 0
-    assert b_entry(1, 4) == 1
-    assert b_entry(2, 3) == 4
+def test_bumps_zero_entries_stay_unbumped():
+    assert list(bumps((0,), 3)) == [((0,), 1)]
+    got = list(bumps((0, 2, 0, 1), 2))
+    assert all(l[0] == 0 and l[2] == 0 for l, _ in got)
+    assert [l for l, _ in got] == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 0, 1), (0, 2, 0, 0)]
+
+
+@given(st.lists(st.integers(0, 4), max_size=5).map(tuple), st.integers(0, 4))
+def test_bumps_weights_and_order(ks, cap):
+    got = list(bumps(ks, cap))
+    ls = [l for l, _ in got]
+    assert ls == sorted(ls)
+    assert len(set(ls)) == len(ls)
+    for l, b in got:
+        assert b == prod(comb(k + e - 1, e) for k, e in zip(ks, l) if k) and b
+        assert all(e == 0 for k, e in zip(ks, l) if k == 0)
+    # every vector over the positions with k_i > 0 appears
+    assert len(got) == comb(sum(1 for k in ks if k) + cap, cap)
+
+
+def test_bumps_small_example():
+    assert list(bumps((2, 1), 2)) == [
+        ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), 2), ((1, 1), 2), ((2, 0), 3),
+    ]
+
+
+def test_bumps_deep_index():
+    # the recursive enumerator it replaces raised RecursionError here
+    got = list(bumps((1,) * 1500, 1))
+    assert len(got) == 1501
+    assert got[0] == ((0,) * 1500, 1) and got[-1] == ((1,) + (0,) * 1499, 1)
+    assert sum(1 for _ in bumps((2, 0) * 750, 1)) == 751
 
 
 @given(tuples)
@@ -72,14 +101,6 @@ def test_split_rejoins(k, i):
     if i <= len(k):
         head, tail = tuple_split(k, i)
         assert head + tail == k
-
-
-def test_bounded_vectors():
-    got = list(bounded_vectors(2, 2))
-    assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-    assert list(bounded_vectors(0, 5)) == [()]
-    assert all(sum(v) <= 3 for v in bounded_vectors(3, 3))
-    assert len(list(bounded_vectors(3, 3))) == 20  # C(3+3, 3)
 
 
 def test_positive_compositions():

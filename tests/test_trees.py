@@ -272,6 +272,17 @@ def test_harvestable_form_requires_essential_positivity():
         harvestable_form(linear_tree(0, 1))
 
 
+def test_harvestable_form_rejects_white_terminal():
+    # unvalidated trees: a white leaf on a positive edge, and a white block
+    # of 0-edges hanging from one positive edge
+    for t in (
+        Tree.build(0, [0], [1], [(0, 1, 1)]),
+        Tree.build(0, [0, 2], [1, 3, 4], [(0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 0)]),
+    ):
+        with pytest.raises(TerminalNotBlack):
+            harvestable_form(t)
+
+
 def test_harvestable_form_output_always_harvestable():
     rng = random.Random(11)
     for _ in range(150):
