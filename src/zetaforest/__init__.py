@@ -8,16 +8,9 @@ oracles that evaluate everything numerically for machine verification.
 """
 
 from .errors import ZetaForestError
-from .indices import (
-    bumps,
-    depth,
-    tuple_add,
-    tuple_reverse,
-    tuple_split,
-    weight,
-)
+from .indices import bumps, tuple_add, tuple_reverse, weight
 from .rationals import Rat
-from .series import TSeries, neg_power_expand
+from .series import TSeries
 from .symmetrize import phi, phi_hat
 from .trees import (
     Tree,
@@ -65,12 +58,10 @@ __all__ = [
     "cap_phi_hat",
     "circ_h",
     "circ_product",
-    "depth",
     "harmonic",
     "harvestable_form",
     "is_essentially_positive",
     "is_harvestable",
-    "neg_power_expand",
     "parse_tree",
     "phi",
     "phi_hat",
@@ -80,7 +71,6 @@ __all__ = [
     "tree_to_json",
     "tuple_add",
     "tuple_reverse",
-    "tuple_split",
     "unit_tree",
     "w_word",
     "weight",

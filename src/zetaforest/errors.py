@@ -13,10 +13,6 @@ class OrderMismatch(ZetaForestError):
     """Truncated series of different orders were combined."""
 
 
-class PoleAtZero(ZetaForestError):
-    """Negative power expansion requested at a zero base."""
-
-
 class DepthMismatch(ZetaForestError):
     """Componentwise tuple operation on tuples of different depths."""
 

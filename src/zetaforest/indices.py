@@ -19,10 +19,6 @@ def weight(k: Tuple_) -> int:
     return sum(k)
 
 
-def depth(k: Tuple_) -> int:
-    return len(k)
-
-
 def is_index(k: Tuple_) -> bool:
     """True iff every entry is >= 1 (the empty tuple qualifies)."""
     return all(e >= 1 for e in k)
@@ -42,13 +38,6 @@ def tuple_add(k: Tuple_, l: Tuple_) -> Tuple_:
     if len(k) != len(l):
         raise DepthMismatch(f"depth {len(k)} vs {len(l)}")
     return tuple(a + b for a, b in zip(k, l))
-
-
-def tuple_split(k: Tuple_, i: int) -> tuple[Tuple_, Tuple_]:
-    """Head/tail split: entries before position i, and from i on."""
-    if not 0 <= i <= len(k):
-        raise ValueError(f"split point {i} out of range for depth {len(k)}")
-    return tuple(k[:i]), tuple(k[i:])
 
 
 def bumps(ks: Tuple_, cap: int) -> Iterator[tuple[Tuple_, int]]:

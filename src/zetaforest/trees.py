@@ -142,22 +142,14 @@ class Tree:
             if self.degree(v) <= 1 and v not in self.black:
                 raise TerminalNotBlack(f"terminal vertex {v} is white")
 
-    def path_edges(self, v: int, w: int) -> tuple:
-        """Edge pairs (u1, u2) on the unique simple path from v to w."""
-        for q in (v, w):
-            if q not in self.vertices:
-                raise UnknownVertex(f"vertex {q} is not in the tree")
-        par = self.parent
-
-        def up(x: int) -> set:
-            out = set()
-            while par[x] is not None:
-                p = par[x]
-                out.add((min(x, p), max(x, p)))
-                x = p
-            return out
-
-        return tuple(sorted(up(v) ^ up(w)))
+    def root_path(self, v: int) -> list:
+        """The vertices from v up to the root, both ends included."""
+        if v not in self.vertices:
+            raise UnknownVertex(f"vertex {v} is not in the tree")
+        path = [v]
+        while self.parent[path[-1]] is not None:
+            path.append(self.parent[path[-1]])
+        return path
 
     def change_root(self, v: int) -> "Tree":
         if v not in self.vertices:
@@ -258,28 +250,31 @@ def harvestable_form(t: Tree) -> Tree:
        becomes one vertex: its black vertex (the root if the block holds it),
        or else its least vertex id.
     2. Splice: every white vertex of degree 2 goes, and its two edges become
-       one whose index is their sum.  A white vertex of degree <= 1 here is a
-       white terminal: `TerminalNotBlack`.
+       one whose index is their sum.
     3. Hoist: each branched black non-root vertex in increasing id order,
        then the root if it is not terminal, hands its children to a fresh
        white vertex joined to it by a 0-edge.  Fresh ids count up from the
        largest id of `t` plus one.
 
-    Each step is one pass; the whole costs O(V log V).
+    A white vertex of degree <= 1 in `t` is a white terminal and raises
+    `TerminalNotBlack` up front; in a tree without one, every contracted
+    white block keeps degree >= 2.  Each step is one pass; the whole costs
+    O(V log V).
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
     block = _zero_blocks(t)
     if block is None:
         raise NotEssentiallyPositive(t.key)
+    for v in sorted(t.white):
+        if t.degree(v) <= 1:
+            raise TerminalNotBlack(f"terminal vertex {v} is white")
     adj: dict[int, dict[int, int]] = {v: {} for v in block.values()}
     for u, v, k in t.edges:
         if k:
             adj[block[u]][block[v]] = adj[block[v]][block[u]] = k
     for v in list(adj):
-        if v not in t.black and len(adj[v]) <= 2:
-            if len(adj[v]) < 2:
-                raise TerminalNotBlack(f"terminal vertex {v} is white")
+        if v not in t.black and len(adj[v]) == 2:
             (a, ka), (b, kb) = adj.pop(v).items()
             del adj[a][v], adj[b][v]
             adj[a][b] = adj[b][a] = ka + kb
@@ -381,11 +376,12 @@ def symmetrization_terms(t: Tree, order: int):
     if not is_essentially_positive(t):
         raise NotEssentiallyPositive(t.key)
     for v in sorted(t.black):
-        path = t.path_edges(t.root, v)
-        ks = tuple(t.adj[a][b] for a, b in path)
+        path = t.root_path(v)
+        steps = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+        ks = tuple(t.adj[a][b] for a, b in steps)
         sign = -1 if sum(ks) % 2 else 1
         for l, b in bumps(ks, order - 1):
-            bump = dict(zip(path, l))
+            bump = dict(zip(steps, l))
             edges = [(u, w, k + bump.get((u, w), 0)) for u, w, k in t.edges]
             yield sum(l), sign * b, Tree.build(v, t.black, t.white, edges)
 

@@ -20,7 +20,7 @@ from .catalog import (
     unit_tree,
 )
 from .errors import UnknownSuite, ZetaForestError
-from .indices import Tuple_, all_indices, bumps, tuple_add, tuple_reverse, weight
+from .indices import Tuple_, all_indices, bumps, is_index, tuple_add, tuple_reverse, weight
 from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi, phi_hat
@@ -264,7 +264,7 @@ def _skip_one_cases(cfg: RunConfig, depths: tuple, suffix: str,
     """The BTT cases: every index of depth r + 1, r in `depths`."""
 
     def make(ks: Tuple_) -> Optional[Case]:
-        if len(ks) < 2 or not all(e >= 1 for e in ks):
+        if len(ks) < 2 or not is_index(ks):
             return None
         return Case(
             key=f"index={','.join(map(str, ks))}{suffix}",
@@ -293,7 +293,7 @@ def _suite_kaneko(cfg: RunConfig) -> Iterator[Case]:
 
     def make(pair: Tuple_) -> Optional[Case]:
         k, l = pair
-        if not (all(e >= 1 for e in k) and all(e >= 1 for e in l)):
+        if not (is_index(k) and is_index(l)):
             return None
 
         def check() -> Optional[str]:

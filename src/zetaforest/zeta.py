@@ -182,12 +182,8 @@ def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
     totals = [0] * order
     for u in us:
         # the edges whose summand set contains u lead from u up to the old root
-        path = []
-        v = t.parent[u]
-        while v is not None:
-            path.append(v)
-            v = t.parent[v]
-        rows = _tree_rows(t, u, t.black - {u}, frozenset(path), M - 1, L, order)
+        flipped = frozenset(t.root_path(u)[1:])
+        rows = _tree_rows(t, u, t.black - {u}, flipped, M - 1, L, order)
         for d, r in enumerate(rows):
             totals[d] += sum(r[1:])
     K = _index_weight(t)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations
+from math import comb
 
 from zetaforest.errors import DegenerateBase, UnknownVertex
 from zetaforest.indices import Tuple_, positive_compositions
 from zetaforest.rationals import Rat
-from zetaforest.series import TSeries, _neg_power_coeffs
+from zetaforest.series import TSeries
 from zetaforest.trees import Tree
 
 
@@ -29,6 +30,20 @@ def zeta_index(k: Tuple_, M: int) -> object:
             term /= n**e
         total += term
     return total
+
+
+@lru_cache(maxsize=None)
+def _neg_power_coeffs(a, k: int, order: int) -> tuple:
+    """Coefficients of (a + t)^-k to the order: (-1)^l C(k+l-1, l) a^(-k-l)."""
+    if k == 0:
+        return (Rat(1),) + (Rat(0),) * (order - 1)
+    inv = Rat(1) / Rat(a)
+    out = []
+    c = inv**k
+    for l in range(order):
+        out.append((-1 if l % 2 else 1) * comb(k + l - 1, l) * c)
+        c *= inv
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zetaforest
 from zetaforest.catalog import builtin_catalog
 from zetaforest.cli import main, parse_index
 from zetaforest.errors import BadIndex, TerminalNotBlack, TreeSyntaxError
@@ -210,10 +213,14 @@ def test_env_var_t_order(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    home = str(Path(zetaforest.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zetaforest", "zeta", "--index", "1,2", "-M", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")

@@ -8,11 +8,9 @@ from zetaforest.errors import DepthMismatch
 from zetaforest.indices import (
     all_indices,
     bumps,
-    depth,
     positive_compositions,
     tuple_add,
     tuple_reverse,
-    tuple_split,
     weight,
 )
 
@@ -21,8 +19,7 @@ tuples = st.lists(st.integers(0, 4), max_size=4).map(tuple)
 
 def test_weight_depth():
     assert weight((1, 2, 3)) == 6
-    assert depth((1, 2, 3)) == 3
-    assert weight(()) == 0 and depth(()) == 0
+    assert weight(()) == 0
 
 
 def test_reverse():
@@ -36,14 +33,6 @@ def test_add():
     assert tuple_add((4, 7), (0, 0)) == (4, 7)
     with pytest.raises(DepthMismatch):
         tuple_add((1, 2), (1, 2, 3))
-
-
-def test_split():
-    assert tuple_split((1, 2, 3), 1) == ((1,), (2, 3))
-    assert tuple_split((1, 2, 3), 0) == ((), (1, 2, 3))
-    assert tuple_split((1, 2, 3), 3) == ((1, 2, 3), ())
-    with pytest.raises(ValueError):
-        tuple_split((1, 2), 3)
 
 
 def test_bumps_count_positive_entries():
@@ -94,13 +83,6 @@ def test_bumps_deep_index():
 @given(tuples)
 def test_reverse_involution(k):
     assert tuple_reverse(tuple_reverse(k)) == k
-
-
-@given(tuples, st.integers(0, 4))
-def test_split_rejoins(k, i):
-    if i <= len(k):
-        head, tail = tuple_split(k, i)
-        assert head + tail == k
 
 
 def test_positive_compositions():

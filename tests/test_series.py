@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforest.errors import OrderMismatch, PoleAtZero
+from zetaforest.errors import OrderMismatch
 from zetaforest.rationals import Rat
-from zetaforest.series import TSeries, neg_power_expand, rat_series
-from zetaforest.words import HElem, shuffle
+from zetaforest.series import TSeries, rat_series
+from zetaforest.words import HElem
+
+from enum_oracles import _neg_power_coeffs
 
 rat_coeffs = st.lists(
     st.integers(-5, 5).map(Rat), min_size=4, max_size=4
@@ -20,7 +22,6 @@ def test_add_examples():
     assert s(1, 1) + s(1, -1) == s(2, 0)
     zero = s(0, 0)
     assert zero + s(3, 5) == s(3, 5)
-    # degree-2 term of t * t is cut at order 2
     assert s(0, 1) + s(0, 0) == s(0, 1)
 
 
@@ -29,53 +30,41 @@ def test_add_order_mismatch():
         s(1, 2) + s(1, 2, 3)
 
 
-def test_mul_examples():
-    assert s(1, 1, 0) * s(1, -1, 0) == s(1, 0, -1)
-    one = s(1, 0, 0)
-    assert one * s(2, 3, 4) == s(2, 3, 4)
-    assert s(0, 1) * s(0, 1) == s(0, 0)
-
-
 @given(rat_coeffs, rat_coeffs, rat_coeffs)
 @settings(max_examples=60)
 def test_ring_axioms(a, b, c):
     A, B, C = (rat_series(x, 4) for x in (a, b, c))
     assert A + B == B + A
     assert (A + B) + C == A + (B + C)
-    assert A * B == B * A
-    assert (A * B) * C == A * (B * C)
-    assert A * (B + C) == A * B + A * C
+    assert (A + B) - B == A
 
 
 @given(rat_coeffs, rat_coeffs)
 @settings(max_examples=40)
 def test_truncation_consistency(a, b):
     A, B = rat_series(a, 4), rat_series(b, 4)
-    assert (A * B).truncate(2) == A.truncate(2) * B.truncate(2)
-    assert (A + B).truncate(3) == A.truncate(3) + B.truncate(3)
+    assert (A + B).coeffs[:2] == (rat_series(a[:2], 2) + rat_series(b[:2], 2)).coeffs
+    assert (A - B.scale(3)).coeffs[:3] == (rat_series(a[:3], 3) - rat_series(b[:3], 3).scale(3)).coeffs
 
 
 def test_neg_power_examples():
-    assert neg_power_expand(-2, 1, 3) == s(Rat(-1, 2), Rat(-1, 4), Rat(-1, 8))
-    assert neg_power_expand(3, 2, 3) == s(Rat(1, 9), Rat(-2, 27), Rat(1, 27))
-    assert neg_power_expand(7, 0, 2) == s(1, 0)
-    assert neg_power_expand(0, 0, 2) == s(1, 0)
-    with pytest.raises(PoleAtZero):
-        neg_power_expand(0, 1, 3)
+    # the (a + t)^-k expansion behind the reference oracle's flipped factors
+    assert _neg_power_coeffs(Rat(-2), 1, 3) == (Rat(-1, 2), Rat(-1, 4), Rat(-1, 8))
+    assert _neg_power_coeffs(Rat(3), 2, 3) == (Rat(1, 9), Rat(-2, 27), Rat(1, 27))
+    assert _neg_power_coeffs(Rat(7), 0, 2) == (1, 0)
+    assert _neg_power_coeffs(Rat(0), 0, 2) == (1, 0)
 
 
 @pytest.mark.parametrize("a", [1, -1, 2, -2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_neg_power_inverts_positive_power(a, k):
     order = 6
-    # (a + t)^k via repeated multiplication
-    base = rat_series([a, 1] + [0] * (order - 2), order)
-    power = rat_series([1] + [0] * (order - 1), order)
-    for _ in range(k):
-        power = power * base
-    assert power * neg_power_expand(a, k, order) == rat_series(
-        [1] + [0] * (order - 1), order
-    )
+    # (a + t)^k by repeated multiplication, then times the expansion
+    product = [Rat(1)] + [Rat(0)] * (order - 1)
+    for factor in [(a, 1)] * k + [_neg_power_coeffs(Rat(a), k, order)]:
+        product = [sum(product[i] * factor[d - i] for i in range(d + 1) if d - i < len(factor))
+                   for d in range(order)]
+    assert product == [1] + [0] * (order - 1)
 
 
 def test_map_linear():
@@ -83,31 +72,6 @@ def test_map_linear():
     assert A.map(lambda c: c) == A
     assert A.map(lambda c: c * 0) == s(0, 0, 0)
     assert A.map(lambda c: 2 * c) == s(2, 4, 6)
-
-
-def test_shift():
-    A = s(1, 2, 3)
-    assert A.shift(1) == s(0, 1, 2)
-    assert A.shift(0) == A
-    assert A.shift(5) == s(0, 0, 0)
-
-
-def test_helem_coefficients_with_shuffle_mul():
-    y = HElem.word("y")
-    a = TSeries((y, y), 2)
-    b = TSeries((HElem.unit(), y), 2)
-    got = a.mul(b, mul=shuffle)
-    assert got.coeffs[0] == y
-    assert got.coeffs[1] == y + shuffle(y, y)
-
-
-def test_scalar_series_times_elem_series():
-    y = HElem.word("y")
-    r = s(2, 1)
-    e = TSeries((y, HElem.zero()), 2)
-    got = r.mul(e)
-    assert got.coeffs[0] == 2 * y
-    assert got.coeffs[1] == y
 
 
 def test_str_and_json():
@@ -124,4 +88,4 @@ def test_constructor_checks():
     with pytest.raises(ValueError):
         TSeries((), 0)
     with pytest.raises(OrderMismatch):
-        s(1, 2).truncate(3)
+        s(1, 2) - s(1, 2, 3)

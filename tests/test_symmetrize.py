@@ -76,7 +76,7 @@ def test_phi_hat_constant_term_is_phi(k):
 @settings(max_examples=30, deadline=None)
 def test_phi_hat_truncation_consistent(k):
     full = phi_hat(z(k), 4)
-    assert full.truncate(2) == phi_hat(z(k), 2)
+    assert full.coeffs[:2] == phi_hat(z(k), 2).coeffs
 
 
 def test_phi_hat_preserves_h1():

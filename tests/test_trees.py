@@ -150,20 +150,22 @@ def test_validate_single_white_vertex():
 # --- paths and essential positivity ------------------------------------------
 
 
-def test_path_edges_linear():
+def test_root_path_linear():
     t = linear_tree(1, 1, 1)
     leaf = max(t.vertices)
-    assert len(t.path_edges(t.root, leaf)) == 3
-    assert t.path_edges(t.root, t.root) == ()
+    path = t.root_path(leaf)
+    assert len(path) == 4 and path[0] == leaf and path[-1] == t.root
+    assert all(t.parent[a] == b for a, b in zip(path, path[1:]))
+    assert t.root_path(t.root) == [t.root]
 
 
-def test_path_edges_star():
+def test_root_path_star():
     t = star_tree(1, (1, 1))
     leaves = sorted(v for v in t.black if v != t.root)
-    path = t.path_edges(leaves[0], leaves[1])
-    assert len(path) == 2
+    assert [len(t.root_path(v)) for v in leaves] == [3, 3]
+    assert t.root_path(leaves[0])[1:] == t.root_path(leaves[1])[1:]
     with pytest.raises(UnknownVertex):
-        t.path_edges(t.root, 99)
+        t.root_path(99)
 
 
 def test_essential_positivity():
@@ -273,11 +275,12 @@ def test_harvestable_form_requires_essential_positivity():
 
 
 def test_harvestable_form_rejects_white_terminal():
-    # unvalidated trees: a white leaf on a positive edge, and a white block
-    # of 0-edges hanging from one positive edge
+    # unvalidated trees: a white leaf on a positive edge, a white block of
+    # 0-edges hanging from one positive edge, and a white leaf on a 0-edge
     for t in (
         Tree.build(0, [0], [1], [(0, 1, 1)]),
         Tree.build(0, [0, 2], [1, 3, 4], [(0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 0)]),
+        Tree.build(0, [0], [1], [(0, 1, 0)]),
     ):
         with pytest.raises(TerminalNotBlack):
             harvestable_form(t)
