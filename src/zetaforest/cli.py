@@ -25,7 +25,7 @@ from .trees import (
     tree_to_json,
     w_word,
 )
-from .verify import RunConfig, run_suite
+from .verify import SUITE_NAMES, RunConfig, run_suite
 from .words import HElem
 from .zeta import zeta_index, zeta_shat_tree, zeta_tree
 
@@ -95,12 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("zeta-shat", "shifted truncated tree sum as a t-series", tree=True, m=True, t_order=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, help="main | btt | t-btt | kaneko | vanish | root-change | harvest | algebra | assoc")
+    v.add_argument("--suite", required=True, help=" | ".join(SUITE_NAMES))
     v.add_argument("--t-order", dest="t_order", type=int, default=None)
-    v.add_argument("-M", "--modulus-bound", dest="m", type=int, default=10)
-    v.add_argument("--weight-max", dest="weight_max", type=int, default=4)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--count", type=int, default=100)
+    v.add_argument("-M", "--modulus-bound", dest="m", type=int, default=RunConfig.m_max)
+    v.add_argument("--weight-max", dest="weight_max", type=int, default=RunConfig.weight_max)
+    v.add_argument("--seed", type=int, default=RunConfig.seed)
+    v.add_argument("--count", type=int, default=RunConfig.count)
     v.add_argument("--json", action="store_true")
     return parser
 
@@ -115,11 +115,13 @@ def _emit_json(obj) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
-    order = getattr(args, "t_order", None)
-    if order is None:
-        order = default_t_order()
-    elif order < 1:
-        raise BadIndex("--t-order must be >= 1")
+    order = None
+    if "t_order" in args:  # only the commands that take --t-order read ZF_T_ORDER
+        order = args.t_order
+        if order is None:
+            order = default_t_order()
+        elif order < 1:
+            raise BadIndex("--t-order must be >= 1")
 
     if cmd == "phi":
         out = phi(HElem.from_index(parse_index(args.index)))

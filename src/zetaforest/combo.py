@@ -1,11 +1,13 @@
 """Finite formal linear combinations with exact rational coefficients.
 
 A combination maps keys to nonzero coefficients.  ``accumulate`` is the one
-place where like terms merge and cancelled terms drop out; every sum in the
-package goes through it.  Code that builds a sum term by term fills a private
-dict with ``accumulate`` or ``Combo.add_into`` and wraps it once with
-``_wrap``; after that the dict belongs to the value and is never written
-again, so values stay immutable.
+place where like terms merge and cancelled terms drop out; every sum that can
+cancel goes through it.  (The shuffle kernel in ``words`` adds its positive
+integer multiplicities with a plain get-and-add, because nothing there can
+cancel.)  Code that builds a sum term by term fills a private dict with
+``accumulate`` or ``Combo.add_into`` and wraps it once with ``_wrap``; after
+that the dict belongs to the value and is never written again, so values
+stay immutable.
 
 Subclasses fix what the keys mean: words (``HElem``) or canonical tree
 encodings (``TreeCombo``).  Keys render as themselves, the empty key as the

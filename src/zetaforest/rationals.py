@@ -1,8 +1,10 @@
 """Exact rational coefficients.
 
 All arithmetic in this package is exact.  ``Rat`` is gmpy2's ``mpq`` when
-available (much faster for the large oracle sweeps) and falls back to the
-stdlib ``fractions.Fraction`` otherwise.  Both render as ``p/q`` in lowest
+available and falls back to the stdlib ``fractions.Fraction`` otherwise.
+The oracles work in plain integers and build one ``Rat`` at the end, so
+``Rat`` arithmetic now happens in the coefficients of the symbolic layers
+(words, symmetrization, trees).  Both render as ``p/q`` in lowest
 terms with the sign on the numerator, and ``p`` when the denominator is 1.
 """
 

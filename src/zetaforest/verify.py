@@ -9,7 +9,7 @@ dropped, as long as the failure persists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .catalog import (
@@ -37,19 +37,6 @@ from .trees import (
 )
 from .words import HElem, harmonic, right_mul_x_pow, shuffle, shuffle_all
 from .zeta import z_m_eval, z_m_series, zeta_shat_tree, zeta_tree
-
-SUITE_NAMES = (
-    "main",
-    "btt",
-    "t-btt",
-    "kaneko",
-    "vanish",
-    "root-change",
-    "harvest",
-    "algebra",
-    "assoc",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -523,6 +510,7 @@ _SUITES = {
     "algebra": _suite_algebra,
     "assoc": _suite_assoc,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _minimize(case: Case, detail: str) -> tuple[Case, str]:
@@ -554,11 +542,4 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
             mcase, mdetail = _minimize(case, detail)
             failures.append(Failure(mcase.key, mdetail))
     failures.sort(key=lambda f: f.case)
-    config = {
-        "t_order": cfg.t_order,
-        "m_max": cfg.m_max,
-        "weight_max": cfg.weight_max,
-        "seed": cfg.seed,
-        "count": cfg.count,
-    }
-    return Report(suite=name, config=config, cases=count, failures=failures)
+    return Report(suite=name, config=asdict(cfg), cases=count, failures=failures)

@@ -110,20 +110,37 @@ class HElem(Combo):
         }
 
 
-@lru_cache(maxsize=None)
-def _shuffle_words(u: Word, v: Word) -> dict:
-    if u > v:
+@lru_cache(maxsize=4096)
+def _quasi_shuffle(u, v, merge: bool) -> dict:
+    """Multiplicities of the shuffle of the letter sequences u and v, or of
+    their quasi-shuffle if `merge` (letters are then numbers, in tuples).
+
+    Cell (i, j) of the table over prefixes holds the product of u[:i] and
+    v[:j]: cell(i-1, j) with u_i appended, plus cell(i, j-1) with v_j
+    appended, plus cell(i-1, j-1) with u_i + v_j appended if `merge`.  Rows
+    run over the shorter sequence, and only two rows are alive.  The
+    multiplicities are positive, so they add with a plain get-and-add.
+    """
+    if len(u) < len(v):
         u, v = v, u
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out: dict[Word, int] = {}
-    for w, c in _shuffle_words(u[:-1], v).items():
-        accumulate(out, w + u[-1], c)
-    for w, c in _shuffle_words(u, v[:-1]).items():
-        accumulate(out, w + v[-1], c)
-    return out
+    prev = [{v[:j]: 1} for j in range(len(v) + 1)]
+    for i in range(len(u)):
+        a = u[i:i + 1]
+        row = [{u[:i + 1]: 1}]
+        for j in range(len(v)):
+            b = v[j:j + 1]
+            cell = {w + a: c for w, c in prev[j + 1].items()}
+            for w, c in row[j].items():
+                w += b
+                cell[w] = cell.get(w, 0) + c
+            if merge:
+                ab = (u[i] + v[j],)
+                for w, c in prev[j].items():
+                    w += ab
+                    cell[w] = cell.get(w, 0) + c
+            row.append(cell)
+        prev = row
+    return prev[-1]
 
 
 def shuffle(a: HElem, b: HElem) -> HElem:
@@ -132,7 +149,7 @@ def shuffle(a: HElem, b: HElem) -> HElem:
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             c = ca * cb
-            for w, mult in _shuffle_words(wa, wb).items():
+            for w, mult in _quasi_shuffle(wa, wb, False).items():
                 accumulate(data, w, c * mult)
     return HElem._wrap(data)
 
@@ -144,31 +161,13 @@ def shuffle_all(elems: Iterable[HElem]) -> HElem:
     return out
 
 
-@lru_cache(maxsize=None)
-def _harmonic_indices(k: Tuple_, l: Tuple_) -> dict:
-    if k > l:
-        k, l = l, k
-    if not k:
-        return {l: 1}
-    if not l:
-        return {k: 1}
-    out: dict[Tuple_, int] = {}
-    for idx, c in _harmonic_indices(k[1:], l).items():
-        accumulate(out, (k[0],) + idx, c)
-    for idx, c in _harmonic_indices(k, l[1:]).items():
-        accumulate(out, (l[0],) + idx, c)
-    for idx, c in _harmonic_indices(k[1:], l[1:]).items():
-        accumulate(out, (k[0] + l[0],) + idx, c)
-    return out
-
-
 def harmonic(a: HElem, b: HElem) -> HElem:
     """Quasi-shuffle product on the z-basis; both operands must be y-initial."""
     data: dict[Word, object] = {}
     for ka, ca in a.z_terms():
         for kb, cb in b.z_terms():
             c = ca * cb
-            for idx, mult in _harmonic_indices(ka, kb).items():
+            for idx, mult in _quasi_shuffle(ka, kb, True).items():
                 accumulate(data, word_from_index(idx), c * mult)
     return HElem._wrap(data)
 

@@ -84,20 +84,6 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     """
     adj = t.adj
     parent = orient(adj, top)
-    quot = [0] + [L // n for n in range(1, cap + 1)]
-    factors: dict = {}
-
-    def edge_factors(k: int, flip: bool) -> list:
-        # factor rows by t-degree l, as numerators over L^(k+l)
-        if (k, flip) not in factors:
-            if flip:
-                sign = -1 if k % 2 else 1
-                factors[k, flip] = [[sign * b * q ** (k + l) for q in quot]
-                                    for (l,), b in bumps((k,), order - 1)]
-            else:
-                factors[k, flip] = [[q**k for q in quot]]
-        return factors[k, flip]
-
     vectors: dict[int, list] = {}
     for v in reversed(parent):
         rows = None
@@ -108,7 +94,8 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
             if k:
                 if any(r[0] for r in child):
                     raise DegenerateBase(f"zero base on an edge of {t.key}")
-                child = _product(child, edge_factors(k, w in flipped), order, cap, pointwise=True)
+                factors = _edge_factors(k, w in flipped, L, cap, order)
+                child = _product(child, factors, order, cap, pointwise=True)
             rows = child if rows is None else _product(rows, child, order, cap)
         if rows is None:
             rows = [[1] + [0] * cap]
@@ -117,6 +104,19 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
             rows = [[0, *accumulate(r[:-1])] for r in rows]
         vectors[v] = rows
     return vectors[top]
+
+
+@lru_cache(maxsize=4096)
+def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
+    """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
+    n = 0..cap, as numerators over L^(k+l); entry 0 is unused.  Rows are
+    tuples because every walk with the same L, cap and order shares them."""
+    quot = [0] + [L // n for n in range(1, cap + 1)]
+    if not flip:
+        return (tuple(q**k for q in quot),)
+    sign = -1 if k % 2 else 1
+    return tuple(tuple(sign * b * q ** (k + l) for q in quot)
+                 for (l,), b in bumps((k,), order - 1))
 
 
 def _product(a: list, b: list, order: int, cap: int, pointwise: bool = False) -> list:

@@ -210,6 +210,9 @@ def test_env_var_t_order(capsys, monkeypatch):
     monkeypatch.setenv("ZF_T_ORDER", "zzz")
     code, _, err = run_cli(capsys, "phi-hat", "--index", "1")
     assert code == 2
+    # commands without --t-order do not read the variable
+    code, out, _ = run_cli(capsys, "zeta", "--index", "1", "-M", "3")
+    assert (code, out) == (0, "3/2\n")
 
 
 def test_module_entry_point():

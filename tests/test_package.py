@@ -39,14 +39,43 @@ def _self_calling_functions(source: str) -> set:
 
 
 def test_recursion_ratchet():
-    # recursion depth follows input size, so deep input raises RecursionError;
-    # these two are still recursive (behind caches) and may only leave this list
-    allowed = {"_shuffle_words", "_harmonic_indices"}
+    # recursion depth follows input size, so deep input raises RecursionError
     package = Path(zetaforest.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
         found |= _self_calling_functions(path.read_text())
-    assert found == allowed
+    assert found == set()
+
+
+def _is_lru_cache(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def _unbounded_caches(module: ast.Module):
+    """Lines that import or name functools.cache, decorate with a bare
+    lru_cache, or call lru_cache with maxsize None."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cache" for a in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from (d.lineno for d in node.decorator_list if _is_lru_cache(d))
+        elif isinstance(node, ast.Call) and _is_lru_cache(node.func):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                yield node.lineno
+
+
+def test_cache_ratchet():
+    # a cache in a long-lived process must have a bound, stated where it is made
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _unbounded_caches(ast.parse(path.read_text()))]
+    assert found == []
 
 
 # defined in the package but named nowhere in it (outside __init__.py) or in

@@ -1,13 +1,24 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zetaforest.catalog import random_tree
 from zetaforest.errors import UnknownSuite
 from zetaforest.verify import (
     SUITE_NAMES,
     Case,
     RunConfig,
     _minimize,
+    diagram_rhs,
+    harvested_terms,
+    main_lhs,
+    main_rhs,
+    root_change_rhs,
     run_suite,
 )
+from zetaforest.zeta import z_m_series
 
 CFG = RunConfig(t_order=3, m_max=5, weight_max=3, seed=0, count=25)
 
@@ -81,3 +92,14 @@ def test_seed_changes_random_cases():
     keys_a = a.cases
     assert a.ok and b.ok
     assert keys_a == 5 and b.cases == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_main_identity_on_random_trees(seed):
+    t = random_tree(random.Random(seed), max_vertices=7, k_cap=2)
+    lhs = main_lhs(t, 3)
+    assert lhs == main_rhs(t, 3) == diagram_rhs(t, 3), t.key
+    terms = harvested_terms(t, 3)
+    for M in range(1, 9):
+        assert z_m_series(lhs, M) == root_change_rhs(terms, M, 3), (t.key, M)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zetaforest.errors import BadIndex, NotInH1
 from zetaforest.rationals import Rat
+from zetaforest.trees import parse_tree, w_word
 from zetaforest.words import (
     HElem,
     harmonic,
@@ -129,6 +130,21 @@ def test_all_y_shuffle_counts():
         for q in range(5):
             got = shuffle(HElem.word("y" * p), HElem.word("y" * q))
             assert got == HElem({"y" * (p + q): comb(p + q, p)})
+
+
+def test_long_words_do_not_recurse():
+    # the kernel fills its prefix table row by row, so the word length is not
+    # bounded by the interpreter's recursion limit
+    y600 = HElem.word("y" * 600)
+    assert shuffle(y600, y600) == HElem({"y" * 1200: comb(1200, 600)})
+
+
+def test_w_word_of_deep_fork():
+    chain = "b()"
+    for _ in range(519):
+        chain = f"b(1:{chain})"
+    got = w_word(parse_tree(f"b(1:w(1:{chain},1:{chain}))"))
+    assert got == HElem({"y" * 1040 + "x": comb(1040, 520)})
 
 
 @given(words, words)
