@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .errors import BadIndex, ZetaForestError
 from .indices import Tuple_
-from .rationals import rat_str
 from .symmetrize import phi, phi_hat
 from .trees import (
+    Tree,
     cap_phi,
     cap_phi_hat,
     harvestable_form,
@@ -54,13 +55,45 @@ def parse_index(s: str) -> Tuple_:
     out = []
     for part in s.split(","):
         part = part.strip()
-        if not part.isdigit():
+        if not part.isdecimal():
             raise BadIndex(f"bad index entry {part!r}")
         value = int(part)
         if value < 1:
             raise BadIndex(f"index entries must be positive, got {value}")
         out.append(value)
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A value command: `call(input, [M], [t_order])` on the parsed input."""
+
+    help: str
+    input: str  # a key of _INPUTS
+    call: Callable
+    m: bool = False
+    t_order: bool = False
+
+
+_INPUTS = {
+    "index": ("comma-separated index, empty for the empty index", parse_index),
+    "tree": ("tree DSL, e.g. b(2:b(1:b()))", parse_tree),
+}
+
+_COMMANDS = {
+    "phi": _Command("constant-term symmetrization of the z-word of an index", "index",
+                    lambda k: phi(HElem.from_index(k))),
+    "phi-hat": _Command("t-adic symmetrization of the z-word of an index", "index",
+                        lambda k, order: phi_hat(HElem.from_index(k), order), t_order=True),
+    "w": _Command("word of a harvestable pair", "tree", w_word),
+    "harvest": _Command("harvestable form of an essentially positive pair", "tree", harvestable_form),
+    "cap-phi": _Command("constant-term tree symmetrization", "tree", cap_phi),
+    "cap-phi-hat": _Command("t-adic tree symmetrization", "tree", cap_phi_hat, t_order=True),
+    "zeta": _Command("truncated multiple harmonic sum", "index", zeta_index, m=True),
+    "zeta-tree": _Command("truncated tree sum", "tree", zeta_tree, m=True),
+    "zeta-shat": _Command("shifted truncated tree sum as a t-series", "tree", zeta_shat_tree,
+                          m=True, t_order=True),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,29 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "with exact truncated-sum oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, *, index=False, tree=False, m=False, t_order=False):
-        p = sub.add_parser(name, help=help_)
-        if index:
-            p.add_argument("--index", required=True, help="comma-separated index, empty for the empty index")
-        if tree:
-            p.add_argument("--tree", required=True, help="tree DSL, e.g. b(2:b(1:b()))")
-        if m:
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument(f"--{cmd.input}", required=True, help=_INPUTS[cmd.input][0])
+        if cmd.m:
             p.add_argument("-M", "--modulus-bound", dest="m", type=int, required=True, help="upper summation bound M")
-        if t_order:
+        if cmd.t_order:
             p.add_argument("--t-order", dest="t_order", type=int, default=None, help="truncation order (default 8, env ZF_T_ORDER)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
-
-    add("phi", "constant-term symmetrization of the z-word of an index", index=True)
-    add("phi-hat", "t-adic symmetrization of the z-word of an index", index=True, t_order=True)
-    add("w", "word of a harvestable pair", tree=True)
-    add("harvest", "harvestable form of an essentially positive pair", tree=True)
-    add("cap-phi", "constant-term tree symmetrization", tree=True)
-    add("cap-phi-hat", "t-adic tree symmetrization", tree=True, t_order=True)
-    add("zeta", "truncated multiple harmonic sum", index=True, m=True)
-    add("zeta-tree", "truncated tree sum", tree=True, m=True)
-    add("zeta-shat", "shifted truncated tree sum as a t-series", tree=True, m=True, t_order=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, help=" | ".join(SUITE_NAMES))
@@ -105,16 +123,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, sort_keys=True))
+def _render(out, as_json: bool) -> str:
+    """`str(out)`, or its JSON: `out.to_json()`, but `{"dsl", "tree"}` for a
+    tree and `{"value"}` for an exact rational."""
+    if not as_json:
+        return str(out)
+    if isinstance(out, Tree):
+        obj = {"dsl": out.key, "tree": tree_to_json(out)}
+    elif hasattr(out, "to_json"):
+        obj = out.to_json()
+    else:
+        obj = {"value": str(out)}
+    return json.dumps(obj, sort_keys=True)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    cmd = args.command
     order = None
     if "t_order" in args:  # only the commands that take --t-order read ZF_T_ORDER
         order = args.t_order
@@ -123,56 +146,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         elif order < 1:
             raise BadIndex("--t-order must be >= 1")
 
-    if cmd == "phi":
-        out = phi(HElem.from_index(parse_index(args.index)))
-        _emit_json(out.to_json()) if args.json else _emit(str(out))
-    elif cmd == "phi-hat":
-        out = phi_hat(HElem.from_index(parse_index(args.index)), order)
-        _emit_json(out.to_json(encode=lambda e: e.to_json())) if args.json else _emit(str(out))
-    elif cmd == "w":
-        out = w_word(parse_tree(args.tree))
-        _emit_json(out.to_json()) if args.json else _emit(str(out))
-    elif cmd == "harvest":
-        out = harvestable_form(parse_tree(args.tree))
-        if args.json:
-            _emit_json({"dsl": out.key, "tree": tree_to_json(out)})
-        else:
-            _emit(out.key)
-    elif cmd == "cap-phi":
-        out = cap_phi(parse_tree(args.tree))
-        _emit_json(out.to_json()) if args.json else _emit(str(out))
-    elif cmd == "cap-phi-hat":
-        out = cap_phi_hat(parse_tree(args.tree), order)
-        _emit_json(out.to_json(encode=lambda c: c.to_json())) if args.json else _emit(str(out))
-    elif cmd == "zeta":
-        value = zeta_index(parse_index(args.index), _check_m(args.m))
-        _emit_json({"value": rat_str(value)}) if args.json else _emit(rat_str(value))
-    elif cmd == "zeta-tree":
-        value = zeta_tree(parse_tree(args.tree), _check_m(args.m))
-        _emit_json({"value": rat_str(value)}) if args.json else _emit(rat_str(value))
-    elif cmd == "zeta-shat":
-        out = zeta_shat_tree(parse_tree(args.tree), _check_m(args.m), order)
-        _emit_json(out.to_json()) if args.json else _emit(str(out))
-    elif cmd == "verify":
-        cfg = RunConfig(
-            t_order=order,
-            m_max=args.m,
-            weight_max=args.weight_max,
-            seed=args.seed,
-            count=args.count,
-        )
+    if args.command == "verify":
+        cfg = RunConfig(t_order=order, m_max=args.m, weight_max=args.weight_max,
+                        seed=args.seed, count=args.count)
         report = run_suite(args.suite, cfg)
-        _emit_json(report.to_json()) if args.json else _emit(report.to_text())
+        sys.stdout.write((_render(report, True) if args.json else report.to_text()) + "\n")
         return 0 if report.ok else 1
-    else:  # pragma: no cover - argparse enforces the command set
-        raise ZetaForestError(f"unknown command {cmd!r}")
-    return 0
 
-
-def _check_m(m: int) -> int:
-    if m < 0:
+    cmd = _COMMANDS[args.command]
+    value = _INPUTS[cmd.input][1](getattr(args, cmd.input))
+    if cmd.m and args.m < 0:
         raise BadIndex("M must be >= 0")
-    return m
+    extra = ([args.m] if cmd.m else []) + ([order] if cmd.t_order else [])
+    sys.stdout.write(_render(cmd.call(value, *extra), args.json) + "\n")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -180,10 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ZetaForestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ZetaForestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,10 +85,10 @@ def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:
         yield tuple(out)
 
 
-def all_indices(max_weight: int, min_weight: int = 0) -> list[Tuple_]:
-    """Every index of weight between the bounds, ordered by (weight, entries)."""
+def all_indices(max_weight: int) -> list[Tuple_]:
+    """Every index of weight at most `max_weight`, ordered by (weight, entries)."""
     out: list[Tuple_] = []
-    for w in range(min_weight, max_weight + 1):
+    for w in range(max_weight + 1):
         for d in range(0 if w == 0 else 1, w + 1):
             out.extend(positive_compositions(w, d))
     return out

@@ -84,8 +84,11 @@ class TSeries:
     def __repr__(self) -> str:
         return f"TSeries({str(self)})"
 
-    def to_json(self, encode: Callable = rat_str) -> dict:
-        return {"t_order": self.order, "coeffs": [encode(c) for c in self.coeffs]}
+    def to_json(self) -> dict:
+        """Each coefficient through its own ``to_json()``, or as ``p/q`` when
+        it is an exact rational."""
+        coeffs = [c.to_json() if hasattr(c, "to_json") else rat_str(c) for c in self.coeffs]
+        return {"t_order": self.order, "coeffs": coeffs}
 
 
 def rat_series(coeffs: Iterable, order: int) -> TSeries:

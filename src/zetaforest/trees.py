@@ -430,7 +430,7 @@ def parse_tree(s: str) -> Tree:
         nonlocal pos
         skip()
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and s[pos].isdecimal():
             pos += 1
         if start == pos:
             raise TreeSyntaxError("expected an edge index", pos)

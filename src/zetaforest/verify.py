@@ -353,65 +353,57 @@ def _suite_root_change(cfg: RunConfig) -> Iterator[Case]:
             yield make(t, M, terms)
 
 
-def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
-    order = cfg.t_order
+def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> Iterator[Case]:
+    """One case per essentially positive tree of the builtin catalog with a
+    black root, keyed by the tree and shrunk by dropping vertices."""
 
     def make(t: Tree) -> Optional[Case]:
         if t.root not in t.black or not is_essentially_positive(t):
             return None
-
-        def check() -> Optional[str]:
-            hf = harvestable_form(t)
-            if not is_harvestable(hf):
-                return f"harvestable form is not harvestable: {hf.key}"
-            for M in range(1, cfg.m_max + 1):
-                d = _diff(zeta_shat_tree(t, M, order), zeta_shat_tree(hf, M, order))
-                if d:
-                    return f"shifted sums differ at M={M}: {d}"
-                if zeta_tree(t, M) != zeta_tree(hf, M):
-                    return f"plain sums differ at M={M}"
-            return None
-
-        return Case(
-            key=f"tree={t.key}",
-            check=check,
-            shrink=lambda: _tree_shrinks(t, make),
-        )
+        return Case(key=f"tree={t.key}", check=lambda: check(t),
+                    shrink=lambda: _tree_shrinks(t, make))
 
     for t in builtin_catalog():
         yield make(t)
+
+
+def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
+    order = cfg.t_order
+
+    def check(t: Tree) -> Optional[str]:
+        hf = harvestable_form(t)
+        if not is_harvestable(hf):
+            return f"harvestable form is not harvestable: {hf.key}"
+        for M in range(1, cfg.m_max + 1):
+            d = _diff(zeta_shat_tree(t, M, order), zeta_shat_tree(hf, M, order))
+            if d:
+                return f"shifted sums differ at M={M}: {d}"
+            if zeta_tree(t, M) != zeta_tree(hf, M):
+                return f"plain sums differ at M={M}"
+        return None
+
+    return _catalog_cases(check)
 
 
 def _suite_main(cfg: RunConfig) -> Iterator[Case]:
     order = cfg.t_order
 
-    def make(t: Tree) -> Optional[Case]:
-        if t.root not in t.black or not is_essentially_positive(t):
-            return None
-
-        def check() -> Optional[str]:
-            lhs = main_lhs(t, order)
-            d = _diff(lhs, main_rhs(t, order))
+    def check(t: Tree) -> Optional[str]:
+        lhs = main_lhs(t, order)
+        d = _diff(lhs, main_rhs(t, order))
+        if d:
+            return "word identity: " + d
+        d = _diff(lhs, diagram_rhs(t, order))
+        if d:
+            return "diagram: " + d
+        terms = harvested_terms(t, order)
+        for M in range(1, cfg.m_max + 1):
+            d = _diff(z_m_series(lhs, M), root_change_rhs(terms, M, order))
             if d:
-                return "word identity: " + d
-            d = _diff(lhs, diagram_rhs(t, order))
-            if d:
-                return "diagram: " + d
-            terms = harvested_terms(t, order)
-            for M in range(1, cfg.m_max + 1):
-                d = _diff(z_m_series(lhs, M), root_change_rhs(terms, M, order))
-                if d:
-                    return f"numeric at M={M}: " + d
-            return None
+                return f"numeric at M={M}: " + d
+        return None
 
-        return Case(
-            key=f"tree={t.key}",
-            check=check,
-            shrink=lambda: _tree_shrinks(t, make),
-        )
-
-    for t in builtin_catalog():
-        yield make(t)
+    return _catalog_cases(check)
 
 
 def _suite_algebra(cfg: RunConfig) -> Iterator[Case]:

@@ -110,6 +110,12 @@ class HElem(Combo):
         }
 
 
+def _product(u, v, merge: bool) -> dict:
+    """`_quasi_shuffle` of the pair in one order.  Both products are
+    commutative, so (u, v) and (v, u) share one cache entry."""
+    return _quasi_shuffle(u, v, merge) if u >= v else _quasi_shuffle(v, u, merge)
+
+
 @lru_cache(maxsize=4096)
 def _quasi_shuffle(u, v, merge: bool) -> dict:
     """Multiplicities of the shuffle of the letter sequences u and v, or of
@@ -149,7 +155,7 @@ def shuffle(a: HElem, b: HElem) -> HElem:
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             c = ca * cb
-            for w, mult in _quasi_shuffle(wa, wb, False).items():
+            for w, mult in _product(wa, wb, False).items():
                 accumulate(data, w, c * mult)
     return HElem._wrap(data)
 
@@ -167,7 +173,7 @@ def harmonic(a: HElem, b: HElem) -> HElem:
     for ka, ca in a.z_terms():
         for kb, cb in b.z_terms():
             c = ca * cb
-            for idx, mult in _quasi_shuffle(ka, kb, True).items():
+            for idx, mult in _product(ka, kb, True).items():
                 accumulate(data, word_from_index(idx), c * mult)
     return HElem._wrap(data)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zetaforest
 from zetaforest.catalog import builtin_catalog
 from zetaforest.cli import main, parse_index
-from zetaforest.errors import BadIndex, TerminalNotBlack, TreeSyntaxError
-from zetaforest.trees import parse_tree
+from zetaforest.errors import BadIndex, TerminalNotBlack, TreeSyntaxError, ZetaForestError
+from zetaforest.trees import Tree, parse_tree
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +231,64 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")
+
+
+# --- golden output and malformed input ------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli_golden.json"
+
+
+def test_golden_cli_output(capsys, monkeypatch):
+    # every recorded invocation, in-process: same stdout bytes and exit code
+    mismatches = []
+    for spec in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        with monkeypatch.context() as m:
+            m.delenv("ZF_T_ORDER", raising=False)
+            for name, value in spec["env"].items():
+                m.setenv(name, value)
+            try:
+                code = main(spec["argv"])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        got = (code, capsys.readouterr().out)
+        if got != (spec["exit"], spec["stdout"]):
+            mismatches.append((spec["argv"], got))
+    assert mismatches == []
+
+
+def test_non_ascii_digits_are_syntax_errors():
+    # "²".isdigit() holds but int("²") fails: the parsers take decimal digits only
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_tree("b(²:b())")
+    assert err.value.position == 2
+    with pytest.raises(BadIndex):
+        parse_index("²")
+    assert parse_tree("b(١:b())").key == "b(1:b())"  # a decimal digit, as int() reads it
+    assert parse_index("١,2") == (1, 2)
+
+
+DSL_TEXT = st.text(alphabet="bw():, 0123456789²١\t\n", max_size=16)
+
+
+def _mutations():
+    keys = [t.key for t in builtin_catalog()]
+
+    def mutate(key, pos, ch, op):
+        pos %= len(key) + 1
+        if op == "insert":
+            return key[:pos] + ch + key[pos:]
+        return key[:pos] + (ch if op == "replace" else "") + key[pos + 1:]
+
+    return st.builds(mutate, st.sampled_from(keys), st.integers(0, 40),
+                     st.sampled_from("bw():, 0129²١"), st.sampled_from(["insert", "replace", "delete"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(DSL_TEXT, _mutations()))
+def test_malformed_dsl_fuzz(s):
+    try:
+        assert isinstance(parse_tree(s), Tree)
+    except ZetaForestError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["harvest", "--tree", s]) in (0, 2)

@@ -80,6 +80,8 @@ def test_str_and_json():
     assert A.to_json() == {"t_order": 3, "coeffs": ["3/2", "-5/4", "0"]}
     e = TSeries((HElem({"yx": 2, "": 1}), HElem.zero()), 2)
     assert str(e) == "(1 + 2*yx) + 0*t + O(t^2)"
+    # a coefficient with its own to_json() is encoded through it
+    assert e.to_json() == {"t_order": 2, "coeffs": [e.coeffs[0].to_json(), {"terms": []}]}
 
 
 def test_constructor_checks():

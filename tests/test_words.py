@@ -10,6 +10,7 @@ from zetaforest.rationals import Rat
 from zetaforest.trees import parse_tree, w_word
 from zetaforest.words import (
     HElem,
+    _quasi_shuffle,
     harmonic,
     right_mul_x_pow,
     shuffle,
@@ -152,6 +153,16 @@ def test_w_word_of_deep_fork():
 def test_shuffle_term_count_bound(u, v):
     got = shuffle(HElem.word(u), HElem.word(v))
     assert len(got) <= comb(len(u) + len(v), len(u))
+
+
+def test_kernel_caches_each_unordered_pair_once():
+    # both products are commutative, so (a, b) and (b, a) share one table
+    for product, a, b in ((shuffle, "yxy", "yx"), (harmonic, "yxyy", "yxx")):
+        _quasi_shuffle.cache_clear()
+        a, b = HElem.word(a), HElem.word(b)
+        assert product(a, b) == product(b, a)
+        info = _quasi_shuffle.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_harmonic_examples():
