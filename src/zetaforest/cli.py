@@ -57,7 +57,10 @@ def parse_index(s: str) -> Tuple_:
         part = part.strip()
         if not part.isdecimal():
             raise BadIndex(f"bad index entry {part!r}")
-        value = int(part)
+        try:
+            value = int(part)
+        except ValueError:  # more digits than int() converts
+            raise BadIndex(f"index entry of {len(part)} digits is too long") from None
         if value < 1:
             raise BadIndex(f"index entries must be positive, got {value}")
         out.append(value)

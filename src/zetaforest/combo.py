@@ -1,6 +1,13 @@
 """Finite formal linear combinations with exact rational coefficients.
 
-A combination maps keys to nonzero coefficients.  ``accumulate`` is the one
+A combination maps keys to nonzero coefficients, each an ``int`` or a
+``Rat``: a coefficient or scalar that is a plain ``int`` is kept as it is,
+and any other value (``bool`` included) becomes a ``Rat``.  The word and
+tree layers build only integer coefficients (multiplicities, signs,
+b-binomials), so they compute in ``int`` arithmetic until a non-integer
+scalar enters; ``int`` with ``Rat`` arithmetic is exact.  The two types
+compare, hash and render alike (``3 == Rat(3)``, ``rat_str(3) == "3"``), so no
+output depends on which one a coefficient is.  ``accumulate`` is the one
 place where like terms merge and cancelled terms drop out; every sum that can
 cancel goes through it.  (The shuffle kernel in ``words`` adds its positive
 integer multiplicities with a plain get-and-add, because nothing there can
@@ -33,7 +40,8 @@ def accumulate(data: dict, key, c) -> None:
 
 
 class Combo:
-    """Finite formal sum of keyed terms with nonzero exact rational coefficients."""
+    """Finite formal sum of keyed terms with nonzero exact rational
+    coefficients, each an ``int`` or a ``Rat``."""
 
     __slots__ = ("_terms",)
 
@@ -41,7 +49,7 @@ class Combo:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict = {}
         for k, c in items:
-            accumulate(data, k, Rat(c))
+            accumulate(data, k, c if type(c) is int else Rat(c))
         self._terms = data
 
     @classmethod
@@ -96,7 +104,7 @@ class Combo:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Combo":
-        s = Rat(scalar)
+        s = scalar if type(scalar) is int else Rat(scalar)
         return self._derive({k: c * s for k, c in self._terms.items()} if s else {})
 
     __rmul__ = __mul__

@@ -2,10 +2,12 @@
 
 All arithmetic in this package is exact.  ``Rat`` is gmpy2's ``mpq`` when
 available and falls back to the stdlib ``fractions.Fraction`` otherwise.
-The oracles work in plain integers and build one ``Rat`` at the end, so
-``Rat`` arithmetic now happens in the coefficients of the symbolic layers
-(words, symmetrization, trees).  Both render as ``p/q`` in lowest
-terms with the sign on the numerator, and ``p`` when the denominator is 1.
+The oracles work in plain integers and build one ``Rat`` at the end, and
+the coefficients of the symbolic layers (words, symmetrization, trees) stay
+plain ``int`` until a non-integer scalar enters (see ``combo``), so ``Rat``
+arithmetic happens only where a value is not an integer.  Both backends
+render as ``p/q`` in lowest terms with the sign on the numerator, and ``p``
+when the denominator is 1, as an ``int`` does.
 """
 
 from __future__ import annotations

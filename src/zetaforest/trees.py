@@ -434,7 +434,10 @@ def parse_tree(s: str) -> Tree:
             pos += 1
         if start == pos:
             raise TreeSyntaxError("expected an edge index", pos)
-        return int(s[start:pos])
+        try:
+            return int(s[start:pos])
+        except ValueError:  # more digits than int() converts
+            raise TreeSyntaxError(f"edge index of {pos - start} digits is too long", start) from None
 
     k = 0  # index of the edge from stack[-1] to the next vertex
     while True:

@@ -267,6 +267,24 @@ def test_non_ascii_digits_are_syntax_errors():
     assert parse_index("١,2") == (1, 2)
 
 
+def test_overlong_digit_runs_are_input_errors(capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    digits = "1" * 5000
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_tree("b(" + digits + ":b())")
+    assert err.value.position == 2
+    assert "too long" in str(err.value)
+    with pytest.raises(BadIndex) as bad:
+        parse_index(digits)
+    assert "too long" in str(bad.value)
+    code, out, err_text = run_cli(capsys, "harvest", "--tree", "b(" + digits + ":b())")
+    assert (code, out) == (2, "")
+    assert err_text == "error: edge index of 5000 digits is too long at position 2\n"
+    code, out, err_text = run_cli(capsys, "zeta", "--index", digits, "-M", "3")
+    assert (code, out) == (2, "")
+    assert err_text == "error: index entry of 5000 digits is too long\n"
+
+
 DSL_TEXT = st.text(alphabet="bw():, 0123456789²١\t\n", max_size=16)
 
 

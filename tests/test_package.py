@@ -78,6 +78,23 @@ def test_cache_ratchet():
     assert found == []
 
 
+def _true_divisions(module: ast.Module):
+    """Lines with a `/` or `/=`."""
+    for node in ast.walk(module):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno
+
+
+def test_no_true_division():
+    # coefficients stay plain ints while built from ints, and int / int is an
+    # inexact float; an exact quotient is built as Rat(p, q)
+    assert sorted(_true_divisions(ast.parse("a = b / c\nd //= e\nd /= f"))) == [1, 3]
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _true_divisions(ast.parse(path.read_text()))]
+    assert found == []
+
+
 # defined in the package but named nowhere in it (outside __init__.py) or in
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {

@@ -97,7 +97,7 @@ def test_seed_changes_random_cases():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_main_identity_on_random_trees(seed):
-    t = random_tree(random.Random(seed), max_vertices=7, k_cap=2)
+    t = random_tree(random.Random(seed), max_vertices=9, k_cap=2)
     lhs = main_lhs(t, 3)
     assert lhs == main_rhs(t, 3) == diagram_rhs(t, 3), t.key
     terms = harvested_terms(t, 3)

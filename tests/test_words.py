@@ -1,13 +1,18 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest.catalog import random_tree
 from zetaforest.errors import BadIndex, NotInH1
 from zetaforest.rationals import Rat
-from zetaforest.trees import parse_tree, w_word
+from zetaforest.series import TSeries
+from zetaforest.symmetrize import phi_hat
+from zetaforest.trees import cap_phi_hat, parse_tree, w_word
+from zetaforest.verify import main_rhs
 from zetaforest.words import (
     HElem,
     _quasi_shuffle,
@@ -258,3 +263,49 @@ def test_to_json():
             {"coeff": "3/2", "word": "yx"},
         ]
     }
+
+
+# --- exactness with mixed int / Rat coefficients --------------------------------
+
+coeffs = st.one_of(st.integers(-3, 3), st.builds(Rat, st.integers(-3, 3), st.integers(1, 3)))
+h1_elems = st.dictionaries(h1_words, coeffs, max_size=3).map(HElem)
+
+
+def coeff_types(*values) -> set:
+    """The types of every coefficient of combinations and of series of them."""
+    out = set()
+    for v in values:
+        for combo in v.coeffs if isinstance(v, TSeries) else (v,):
+            out.update(type(c) for _, c in combo.terms())
+    return out
+
+
+@given(h1_elems, h1_elems, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_coefficients_are_int_or_rat(a, b, seed):
+    words_out = [shuffle(a, b), harmonic(a, b), phi_hat(a, 3)]
+    assert coeff_types(*words_out) <= {int, Rat}
+    if coeff_types(a, b) <= {int}:  # integer input stays integer
+        assert coeff_types(*words_out) <= {int}
+    t = random_tree(random.Random(seed), max_vertices=6, k_cap=2)
+    assert coeff_types(cap_phi_hat(t, 3), main_rhs(t, 3)) <= {int}
+
+
+def test_non_integer_scalars_become_rat():
+    half = HElem({"y": 1}) * Rat(1, 2)
+    assert half.terms() == [("y", Rat(1, 2))]
+    assert coeff_types(half) == {Rat}
+    assert coeff_types(HElem({"y": True}), HElem({"y": 1}) * True) == {Rat}
+    assert coeff_types(HElem({"y": 0.5})) == {Rat}
+    assert coeff_types(HElem({"y": 2}) * 3, 3 * HElem({"y": 2})) == {int}
+
+
+def test_int_and_rat_coefficients_agree():
+    assert HElem({"y": 2}) == HElem({"y": Rat(2)})
+    assert HElem({"y": 2}) != HElem({"y": Rat(5, 2)})
+    i, r = HElem({"yx": 3, "": 3}), HElem({"yx": Rat(3), "": Rat(3)})
+    assert str(i) == str(r) == "3 + 3*yx"
+    assert i.to_json() == r.to_json()
+    mixed = HElem({"y": 1, "yx": Rat(1, 2), "yy": Rat(4)})
+    assert len(mixed - mixed) == 0
+    assert len(HElem({"y": 1}) - HElem({"y": Rat(1)})) == 0
