@@ -30,14 +30,12 @@ from .verify import SUITE_NAMES, RunConfig, run_suite
 from .words import HElem
 from .zeta import zeta_index, zeta_shat_tree, zeta_tree
 
-DEFAULT_T_ORDER = 8
-
 
 def default_t_order() -> int:
-    """Default truncation order, overridable through ZF_T_ORDER."""
+    """Default truncation order (`RunConfig.t_order`), overridable through ZF_T_ORDER."""
     raw = os.environ.get("ZF_T_ORDER", "").strip()
     if not raw:
-        return DEFAULT_T_ORDER
+        return RunConfig.t_order
     try:
         value = int(raw)
     except ValueError:
@@ -112,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if cmd.m:
             p.add_argument("-M", "--modulus-bound", dest="m", type=int, required=True, help="upper summation bound M")
         if cmd.t_order:
-            p.add_argument("--t-order", dest="t_order", type=int, default=None, help="truncation order (default 8, env ZF_T_ORDER)")
+            p.add_argument("--t-order", dest="t_order", type=int, default=None, help=f"truncation order (default {RunConfig.t_order}, env ZF_T_ORDER)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -170,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ZetaForestError, ValueError) as exc:
+    except ZetaForestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ and any other value (``bool`` included) becomes a ``Rat``.  The word and
 tree layers build only integer coefficients (multiplicities, signs,
 b-binomials), so they compute in ``int`` arithmetic until a non-integer
 scalar enters; ``int`` with ``Rat`` arithmetic is exact.  The two types
-compare, hash and render alike (``3 == Rat(3)``, ``rat_str(3) == "3"``), so no
+compare, hash and render alike (``3 == Rat(3)``, ``str(Rat(3)) == "3"``), so no
 output depends on which one a coefficient is.  ``accumulate`` is the one
 place where like terms merge and cancelled terms drop out; every sum that can
 cancel goes through it.  (The shuffle kernel in ``words`` adds its positive
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .rationals import Rat, rat_str
+from .rationals import Rat
 
 
 def accumulate(data: dict, key, c) -> None:
@@ -112,7 +112,7 @@ class Combo:
     def __str__(self) -> str:
         parts = []
         for k, c in self._sorted():
-            cs = rat_str(c)
+            cs = str(c)
             if not k:
                 parts.append(cs)
             elif cs == "1":

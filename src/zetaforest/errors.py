@@ -65,6 +65,10 @@ class UnknownSuite(ZetaForestError):
     pass
 
 
+class BadRunConfig(ZetaForestError, ValueError):
+    """A verification run's bound, seed or count is out of range."""
+
+
 class TreeSyntaxError(ZetaForestError):
     """Tree DSL parse failure; carries the character position."""
 

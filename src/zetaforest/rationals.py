@@ -6,8 +6,8 @@ The oracles work in plain integers and build one ``Rat`` at the end, and
 the coefficients of the symbolic layers (words, symmetrization, trees) stay
 plain ``int`` until a non-integer scalar enters (see ``combo``), so ``Rat``
 arithmetic happens only where a value is not an integer.  Both backends
-render as ``p/q`` in lowest terms with the sign on the numerator, and ``p``
-when the denominator is 1, as an ``int`` does.
+render through ``str`` as ``p/q`` in lowest terms with the sign on the
+numerator, and ``p`` when the denominator is 1, as an ``int`` does.
 """
 
 from __future__ import annotations
@@ -17,7 +17,3 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
-
-def rat_str(value) -> str:
-    """Render an exact rational (or int) as ``p`` or ``p/q``."""
-    return str(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import OrderMismatch
-from .rationals import Rat, rat_str
+from .rationals import Rat
 
 
 class TSeries:
@@ -87,7 +87,7 @@ class TSeries:
     def to_json(self) -> dict:
         """Each coefficient through its own ``to_json()``, or as ``p/q`` when
         it is an exact rational."""
-        coeffs = [c.to_json() if hasattr(c, "to_json") else rat_str(c) for c in self.coeffs]
+        coeffs = [c.to_json() if hasattr(c, "to_json") else str(c) for c in self.coeffs]
         return {"t_order": self.order, "coeffs": coeffs}
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import Tuple_, bumps, tuple_add, tuple_reverse, weight
+from .indices import bumps, tuple_add, tuple_reverse, weight
 from .series import TSeries
-from .words import HElem, shuffle
+from .words import HElem, Word, shuffle, z_decompose
 
 
 @lru_cache(maxsize=4096)
-def _phi_hat_index(k: Tuple_, order: int) -> TSeries:
+def _phi_hat_index(w: Word, order: int) -> TSeries:
+    k = z_decompose(w)
     rows: list[dict] = [{} for _ in range(order)]
     for i in range(len(k) + 1):
         head, tail = k[:i], k[i:]
@@ -36,8 +37,9 @@ def _phi_hat_index(k: Tuple_, order: int) -> TSeries:
 def phi_hat(a: HElem, order: int) -> TSeries:
     """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`."""
     rows: list[dict] = [{} for _ in range(order)]
-    for k, c in a.z_terms():
-        for row, image in zip(rows, _phi_hat_index(k, order).coeffs):
+    # grlex order keeps the word-product cache warmer than dict order does
+    for w, c in a.terms():
+        for row, image in zip(rows, _phi_hat_index(w, order).coeffs):
             image.add_into(row, c)
     return TSeries(map(HElem._wrap, rows), order)
 

@@ -36,7 +36,6 @@ from .errors import (
     UnknownVertex,
 )
 from .indices import bumps
-from .rationals import rat_str
 from .series import TSeries
 from .words import HElem, right_mul_x_pow, shuffle_all
 
@@ -358,7 +357,7 @@ class TreeCombo(Combo):
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"coeff": rat_str(c), "tree": tree_to_json(t)} for t, c in self.terms()
+                {"coeff": str(c), "tree": tree_to_json(t)} for t, c in self.terms()
             ]
         }
 

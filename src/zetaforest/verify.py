@@ -19,7 +19,7 @@ from .catalog import (
     symmetric_hybrid_tree,
     unit_tree,
 )
-from .errors import UnknownSuite, ZetaForestError
+from .errors import BadRunConfig, UnknownSuite, ZetaForestError
 from .indices import Tuple_, all_indices, bumps, is_index, tuple_add, tuple_reverse, weight
 from .rationals import Rat
 from .series import TSeries
@@ -49,11 +49,11 @@ class RunConfig:
     def __post_init__(self):
         for name in ("t_order", "m_max", "weight_max"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise BadRunConfig(f"{name} must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise BadRunConfig("seed must be >= 0")
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise BadRunConfig("count must be >= 1")
 
 
 @dataclass

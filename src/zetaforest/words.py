@@ -5,7 +5,9 @@ the unit word and renders as ``1``.  ``HElem`` is a finite linear combination
 of words, a ``Combo`` keyed by word.  The y-initial subspace (every word empty
 or starting with ``y``) has the z-basis ``z_k = y x^(k-1)``, indexed by tuples
 of positive integers; ``word_from_index`` and ``z_decompose`` convert between
-the two encodings.
+the two encodings.  The shuffle and the harmonic product are one bilinear
+loop over one bounded cache of word pairs; only a harmonic miss decodes
+z-indices.
 
 All values are immutable by convention: every operation returns fresh
 objects and never mutates its inputs.
@@ -19,7 +21,6 @@ from typing import Iterable
 from .combo import Combo, accumulate
 from .errors import BadIndex, NotInH1
 from .indices import Tuple_, check_index
-from .rationals import rat_str
 
 Word = str
 
@@ -31,10 +32,6 @@ def word_from_index(k: Tuple_) -> Word:
     """The z-word z_{k_1} ... z_{k_r}; the empty index gives the unit word."""
     check_index(k)
     return "".join("y" + "x" * (e - 1) for e in k)
-
-
-def in_h1(w: Word) -> bool:
-    return not w or w[0] == Y
 
 
 def z_decompose(w: Word) -> Tuple_:
@@ -87,11 +84,7 @@ class HElem(Combo):
 
     @property
     def is_h1(self) -> bool:
-        return all(in_h1(w) for w in self._terms)
-
-    def z_terms(self) -> list[tuple[Tuple_, object]]:
-        """Terms as (index, coefficient); raises NotInH1 off the subspace."""
-        return [(z_decompose(w), c) for w, c in self.terms()]
+        return all(not w or w[0] == Y for w in self._terms)
 
     def concat(self, other: "HElem") -> "HElem":
         """Bilinear concatenation product."""
@@ -104,19 +97,12 @@ class HElem(Combo):
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"coeff": rat_str(c), "word": w if w else "1"}
+                {"coeff": str(c), "word": w if w else "1"}
                 for w, c in self.terms()
             ]
         }
 
 
-def _product(u, v, merge: bool) -> dict:
-    """`_quasi_shuffle` of the pair in one order.  Both products are
-    commutative, so (u, v) and (v, u) share one cache entry."""
-    return _quasi_shuffle(u, v, merge) if u >= v else _quasi_shuffle(v, u, merge)
-
-
-@lru_cache(maxsize=4096)
 def _quasi_shuffle(u, v, merge: bool) -> dict:
     """Multiplicities of the shuffle of the letter sequences u and v, or of
     their quasi-shuffle if `merge` (letters are then numbers, in tuples).
@@ -149,15 +135,33 @@ def _quasi_shuffle(u, v, merge: bool) -> dict:
     return prev[-1]
 
 
-def shuffle(a: HElem, b: HElem) -> HElem:
-    """Shuffle product, extended bilinearly; the empty word is the unit."""
+@lru_cache(maxsize=4096)
+def _word_product(u: Word, v: Word, merge: bool) -> dict:
+    """Multiplicities of the shuffle, or if `merge` the harmonic product, of
+    the words u >= v: both are commutative, so (u, v) and (v, u) share one
+    entry.  A harmonic miss runs the kernel on the z-indices and encodes its
+    result as words once."""
+    if not merge:
+        return _quasi_shuffle(u, v, False)
+    table = _quasi_shuffle(z_decompose(u), z_decompose(v), True)
+    return {word_from_index(k): c for k, c in table.items()}
+
+
+def _bilinear(a: HElem, b: HElem, merge: bool) -> HElem:
+    """`_word_product` extended bilinearly; the empty word is the unit."""
     data: dict[Word, object] = {}
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             c = ca * cb
-            for w, mult in _product(wa, wb, False).items():
+            pair = _word_product(wa, wb, merge) if wa >= wb else _word_product(wb, wa, merge)
+            for w, mult in pair.items():
                 accumulate(data, w, c * mult)
     return HElem._wrap(data)
+
+
+def shuffle(a: HElem, b: HElem) -> HElem:
+    """Shuffle product, extended bilinearly; the empty word is the unit."""
+    return _bilinear(a, b, False)
 
 
 def shuffle_all(elems: Iterable[HElem]) -> HElem:
@@ -169,13 +173,9 @@ def shuffle_all(elems: Iterable[HElem]) -> HElem:
 
 def harmonic(a: HElem, b: HElem) -> HElem:
     """Quasi-shuffle product on the z-basis; both operands must be y-initial."""
-    data: dict[Word, object] = {}
-    for ka, ca in a.z_terms():
-        for kb, cb in b.z_terms():
-            c = ca * cb
-            for idx, mult in _product(ka, kb, True).items():
-                accumulate(data, word_from_index(idx), c * mult)
-    return HElem._wrap(data)
+    if not (a.is_h1 and b.is_h1):
+        raise NotInH1("the harmonic product takes y-initial operands only")
+    return _bilinear(a, b, True)
 
 
 def right_mul_x_pow(a: HElem, k: int) -> HElem:

@@ -48,7 +48,7 @@ from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi_hat
 from .trees import Tree, orient
-from .words import HElem
+from .words import HElem, z_decompose
 
 
 @lru_cache(maxsize=4096)
@@ -193,8 +193,8 @@ def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
 def z_m_eval(a: HElem, M: int) -> object:
     """Linear extension of the harmonic sums over the z-basis."""
     total = Rat(0)
-    for k, c in a.z_terms():
-        total += c * zeta_index(k, M)
+    for w, c in a.terms():
+        total += c * zeta_index(z_decompose(w), M)
     return total
 
 

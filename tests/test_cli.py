@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,28 @@ def test_unknown_suite_exit_code(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_bad_run_config_exit_code(capsys):
+    for flag, value, message in (("-M", "0", "m_max must be >= 1"),
+                                 ("--weight-max", "0", "weight_max must be >= 1"),
+                                 ("--seed", "-1", "seed must be >= 0"),
+                                 ("--count", "0", "count must be >= 1")):
+        code, out, err = run_cli(capsys, "verify", "--suite", "vanish", flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_library_value_error_is_not_an_input_error(capsys, monkeypatch):
+    # only a ZetaForestError is an input error; any other exception is a bug
+    from zetaforest import cli as cli_mod
+
+    def broken(k, m):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "zeta", replace(cli_mod._COMMANDS["zeta"], call=broken))
+    with pytest.raises(ValueError, match="bug"):
+        main(["zeta", "--index", "1", "-M", "3"])
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

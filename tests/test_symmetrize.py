@@ -28,7 +28,8 @@ def test_phi_hat_z1():
 
 def test_phi_hat_cancellation_leaves_cached_rows_untouched():
     order = 3
-    cached = [_phi_hat_index(k, order) for k in ((1, 2), (2, 1))]
+    # the images are cached by word: z_(1,2) = yyx and z_(2,1) = yxy
+    cached = [_phi_hat_index(w, order) for w in ("yyx", "yxy")]
     before = [[row.terms() for row in s.coeffs] for s in cached]
     a = z((1, 2)) + z((2, 1))
     out = phi_hat(a, order)

@@ -15,7 +15,7 @@ from zetaforest.trees import cap_phi_hat, parse_tree, w_word
 from zetaforest.verify import main_rhs
 from zetaforest.words import (
     HElem,
-    _quasi_shuffle,
+    _word_product,
     harmonic,
     right_mul_x_pow,
     shuffle,
@@ -161,13 +161,14 @@ def test_shuffle_term_count_bound(u, v):
 
 
 def test_kernel_caches_each_unordered_pair_once():
-    # both products are commutative, so (a, b) and (b, a) share one table
-    for product, a, b in ((shuffle, "yxy", "yx"), (harmonic, "yxyy", "yxx")):
-        _quasi_shuffle.cache_clear()
+    # both products are commutative, so (a, b) and (b, a) share one entry,
+    # keyed by the words; the two products of one pair are two entries
+    _word_product.cache_clear()
+    for product, a, b in ((shuffle, "yxy", "yx"), (harmonic, "yxyy", "yxx"), (harmonic, "yxy", "yx")):
         a, b = HElem.word(a), HElem.word(b)
         assert product(a, b) == product(b, a)
-        info = _quasi_shuffle.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    info = _word_product.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_harmonic_examples():
@@ -179,8 +180,11 @@ def test_harmonic_examples():
 
 
 def test_harmonic_requires_h1():
-    with pytest.raises(NotInH1):
-        harmonic(HElem.word("xy"), HElem.word("y"))
+    for other in (HElem.word("y"), HElem.unit(), HElem.zero()):
+        with pytest.raises(NotInH1):
+            harmonic(HElem.word("xy"), other)
+        with pytest.raises(NotInH1):
+            harmonic(other, HElem.word("xy"))
 
 
 @given(indices, indices)
