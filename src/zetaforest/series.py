@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .errors import OrderMismatch
+from .errors import BadOrder, OrderMismatch
 from .rationals import Rat
 
 
@@ -23,7 +23,7 @@ class TSeries:
     def __init__(self, coeffs: Iterable, order: int):
         coeffs = tuple(coeffs)
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise BadOrder(f"t-order must be >= 1, got {order}")
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
         self.order = order

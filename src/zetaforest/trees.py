@@ -14,16 +14,22 @@ rendered sorted by (edge index, child encoding), so two trees are isomorphic
 Every terminal vertex must be black; a vertex of degree <= 1 counts as a
 terminal, so the single-vertex tree must be black (it is the unit of the
 glue-at-the-roots product).
+
+The tree-level symmetrization re-roots its input at every black vertex with
+bumped path indices.  Its terms' keys come from one canonical walk of the
+input plus one pass over each term's path, not from a walk per term.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
 from .combo import Combo
 from .errors import (
+    BadOrder,
     InvalidTree,
     NegativeEdgeIndex,
     NotATree,
@@ -281,7 +287,8 @@ def harvestable_form(t: Tree) -> Tree:
     hoisted = [v for v in sorted(adj) if v in t.black and v != root and len(adj[v]) >= 3]
     if len(adj[root]) >= 2:
         hoisted.append(root)
-    fresh = {v: max(t.vertices) + 1 + i for i, v in enumerate(hoisted)}
+    top = max(t.vertices)
+    fresh = {v: top + 1 + i for i, v in enumerate(hoisted)}
     edges = [(fresh.get(p, p), v, adj[v][p]) for v, p in orient(adj, root).items() if p is not None]
     edges += [(v, w, 0) for v, w in fresh.items()]
     return Tree.build(root, adj.keys() & t.black, (adj.keys() - t.black) | set(fresh.values()), edges)
@@ -369,20 +376,48 @@ def symmetrization_terms(t: Tree, order: int):
     root-to-v path with total < order: the tree re-rooted at v with indices
     raised by l, weighted by the signed product of b-binomials, in degree
     equal to the bump total.
+
+    Each term's key comes from one canonical walk of `t` plus one pass over
+    its path.  Everything off the root-to-v path keeps its encoding from the
+    walk, so only the path is re-encoded, from the old root down to v: each
+    path vertex takes the encoding so far as one more child among its others.
     """
+    if order < 1:
+        raise BadOrder(f"t-order must be >= 1, got {order}")
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
     if not is_essentially_positive(t):
         raise NotEssentiallyPositive(t.key)
+    kids: dict[int, list] = {}
+    t._canonical(kids)
+    at = {e: i for i, (u, w, _) in enumerate(t.edges) for e in ((u, w), (w, u))}
     for v in sorted(t.black):
         path = t.root_path(v)
-        steps = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
-        ks = tuple(t.adj[a][b] for a, b in steps)
+        steps = [at[e] for e in zip(path, path[1:])]
+        ks = tuple(t.edges[i][2] for i in steps)
         sign = -1 if sum(ks) % 2 else 1
+        # per path vertex, the old root first: the sorted (index, DSL) pairs
+        # of its children off the path, their rendered items, its opening,
+        # and where in t.edges its edge to the vertex above it sits
+        down = path[::-1]
+        others = []
+        for a, below, i in zip(down, [*down[1:], None], [None, *steps[::-1]]):
+            pairs = [(k, e) for k, e, u in kids[a] if u != below]
+            others.append((pairs, [f"{k}:{e}" for k, e in pairs], "b(" if a in t.black else "w(", i))
+        _, items, head, _ = others.pop(0)
+        top = head + ",".join(items) + ")"
         for l, b in bumps(ks, order - 1):
-            bump = dict(zip(steps, l))
-            edges = [(u, w, k + bump.get((u, w), 0)) for u, w, k in t.edges]
-            yield sum(l), sign * b, Tree.build(v, t.black, t.white, edges)
+            s, edges = top, list(t.edges)
+            for (pairs, items, head, i), x in zip(others, reversed(l)):
+                u, w, k = edges[i]
+                if x:
+                    k += x
+                    edges[i] = (u, w, k)
+                j = bisect(pairs, (k, s))
+                s = head + ",".join(items[:j] + [f"{k}:{s}"] + items[j:]) + ")"
+            shifted = Tree(v, t.black, t.white, tuple(edges))
+            shifted.__dict__["key"] = s  # the slot cached_property fills
+            yield sum(l), sign * b, shifted
 
 
 def cap_phi_hat(t: Tree, order: int) -> TSeries:

@@ -39,6 +39,23 @@ def test_summary_directions_and_bounds():
     assert one["cases_per_s"]["ties"] == 1
 
 
+def test_claim_rule_needs_nine_in_ten_and_more_than_the_parent_iqr():
+    parent = [100, 104, 96, 100, 102, 98, 101, 99, 103, 97]  # median 100, IQR 98.25-101.75
+
+    def claim(change):
+        summary = bench_pairs.summarize(fake_pairs(parent, change), END_TO_END)
+        return summary["cases_per_s"]["meets_claim_rule"], summary["case_ms.p50"]["meets_claim_rule"]
+
+    assert claim([p + 10 for p in parent]) == (True, True)  # 10 wins, gain 10 > 3.5
+    assert claim([p + 10 for p in parent[:9]] + [parent[9]]) == (True, True)  # 9 wins, a tie
+    assert claim([p + 10 for p in parent[:8]] + parent[8:]) == (False, False)  # 8 wins, 2 ties
+    assert claim([p + 10 for p in parent[:8]] + [p - 1 for p in parent[8:]]) == (False, False)
+    assert claim([p + 3 for p in parent]) == (False, False)  # 10 wins, gain 3 < 3.5
+    assert claim([p - 10 for p in parent]) == (False, False)  # a loss is no claim
+    one = bench_pairs.summarize(fake_pairs([100], [200]), END_TO_END)
+    assert one["cases_per_s"]["meets_claim_rule"]
+
+
 FAKE_RUN = """
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])

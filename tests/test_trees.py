@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 
@@ -17,6 +18,7 @@ from zetaforest.catalog import (
     unit_tree,
 )
 from zetaforest.errors import (
+    BadOrder,
     NotATree,
     NotConnected,
     NotEssentiallyPositive,
@@ -421,6 +423,28 @@ def test_cap_phi_hat_rejects_bad_input():
         cap_phi_hat(w_root, 2)
 
 
+def test_symmetrization_takes_edges_in_either_orientation():
+    # the dataclass constructor does not sort edges the way Tree.build does
+    built = Tree.build(0, [0, 1, 2], [], [(0, 1, 2), (1, 2, 1)])
+    raw = Tree(0, built.black, built.white, ((1, 0, 2), (2, 1, 1)))
+    assert cap_phi_hat(raw, 3) == cap_phi_hat(built, 3)
+
+
+def test_t_order_below_one_is_one_error():
+    from zetaforest.symmetrize import phi_hat
+    from zetaforest.trees import symmetrization_terms
+    from zetaforest.words import HElem
+
+    t = linear_tree(2, 1)
+    with pytest.raises(BadOrder):
+        next(symmetrization_terms(t, 0))  # once yielded nothing
+    with pytest.raises(BadOrder):
+        cap_phi_hat(t, 0)
+    with pytest.raises(BadOrder):
+        phi_hat(HElem.word("y"), 0)
+    assert issubclass(BadOrder, ValueError)
+
+
 def test_essential_positivity_preserved_by_symmetrization_terms():
     from zetaforest.trees import symmetrization_terms
 
@@ -428,6 +452,50 @@ def test_essential_positivity_preserved_by_symmetrization_terms():
         for _, _, shifted in symmetrization_terms(t, 3):
             assert is_essentially_positive(shifted)
             assert shifted.root in shifted.black
+
+
+def _check_terms(t: Tree, order: int) -> int:
+    """Every term of `symmetrization_terms` against a rebuild of its own
+    fields and a fresh canonical walk of that rebuild; the number of terms."""
+    from zetaforest.trees import symmetrization_terms
+
+    n = 0
+    for _, _, shifted in symmetrization_terms(t, order):
+        rebuilt = Tree.build(shifted.root, shifted.black, shifted.white, shifted.edges)
+        assert shifted == rebuilt
+        assert shifted.key == rebuilt._canonical()
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_symmetrization_keys_match_fresh_walks(order):
+    # the keys come from one walk of the input plus one path per term; the
+    # vertex ids are shuffled so that no tie between siblings follows them
+    rng = random.Random(order)
+    sizes = set()
+    for _ in range(40 if order < 4 else 20):
+        t = random_tree(rng, max_vertices=25, k_cap=2)
+        ids = rng.sample(range(100), len(t.vertices))
+        t = relabel(t, dict(zip(sorted(t.vertices), ids)))
+        assert _check_terms(t, order) >= len(t.black)
+        sizes.add(len(t.vertices))
+    assert min(sizes) < 5 and max(sizes) > 20
+
+
+def test_symmetrization_keys_on_a_long_chain():
+    # 300 edges, 0-edges between the whites: a recursive encoder would need a
+    # frame per vertex, more than the lowered limit allows
+    colors = "b" + ("w" * 149 + "b") * 2
+    t = Tree.build(0, [i for i, c in enumerate(colors) if c == "b"],
+                   [i for i, c in enumerate(colors) if c == "w"],
+                   [(i, i + 1, (1, 0, 2)[i % 3]) for i in range(300)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert _check_terms(t, 2) > 300
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- combinations ---------------------------------------------------------------

@@ -65,23 +65,32 @@ def quartiles(values: list) -> dict:
 def summarize(pairs: list, end_to_end: list) -> dict:
     """Per metric of `end_to_end` (BENCHMARK.json entries): both sides'
     quartiles, the pairs each way, and the change's median over the
-    parent's, positive `worse_by` meaning worse by that fraction."""
+    parent's, positive `worse_by` meaning worse by that fraction.
+
+    `meets_claim_rule` says whether a gain on the metric may be claimed: the
+    change wins at least nine pairs in ten (a tie counts for neither side),
+    and its median is better than the parent's by more than the parent's
+    interquartile range."""
     out = {}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        ratio = statistics.median(change) / statistics.median(parent)
+        p_q, c_q = quartiles(parent), quartiles(change)
+        ratio = c_q["median"] / p_q["median"]
         worse_by = 1 - ratio if higher else ratio - 1
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        gain = c_q["median"] - p_q["median"] if higher else p_q["median"] - c_q["median"]
         out[name] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_better_pairs": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+            "parent": p_q,
+            "change": c_q,
+            "change_better_pairs": wins,
             "ties": sum(c == p for p, c in zip(parent, change)),
             "median_change_over_parent": round(ratio, 4),
             "bound": spec["bound"],
             "worse_by": round(worse_by, 4),
             "within_bound": worse_by <= spec["bound"],
+            "meets_claim_rule": 10 * wins >= 9 * len(pairs) and gain > p_q["q3"] - p_q["q1"],
         }
     return out
 
