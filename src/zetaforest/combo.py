@@ -16,9 +16,10 @@ cancel.)  Code that builds a sum term by term fills a private dict with
 that the dict belongs to the value and is never written again, so values
 stay immutable.
 
-Subclasses fix what the keys mean: words (``HElem``) or canonical tree
-encodings (``TreeCombo``).  Keys render as themselves, the empty key as the
-bare coefficient.
+Subclasses fix what the keys mean, words (``HElem``) or canonical tree
+encodings (``TreeCombo``), and add no state of their own: a value is its
+dict and nothing else, so ``+``, ``-`` and scalar ``*`` wrap the dict they
+build.  Keys render as themselves, the empty key as the bare coefficient.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class Combo:
         out._terms = data
         return out
 
-    def _derive(self, data: dict, other: "Combo | None" = None) -> "Combo":
-        """A value of the same type around `data`, whose keys come from self and other."""
-        return self._wrap(data)
-
     @classmethod
     def zero(cls) -> "Combo":
         return cls()
@@ -95,17 +92,17 @@ class Combo:
         data = dict(self._terms)
         for k, c in other._terms.items():
             accumulate(data, k, c)
-        return self._derive(data, other)
+        return self._wrap(data)
 
     def __neg__(self) -> "Combo":
-        return self._derive({k: -c for k, c in self._terms.items()})
+        return self._wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Combo") -> "Combo":
         return self + (-other)
 
     def __mul__(self, scalar) -> "Combo":
         s = scalar if type(scalar) is int else Rat(scalar)
-        return self._derive({k: c * s for k, c in self._terms.items()} if s else {})
+        return self._wrap({k: c * s for k, c in self._terms.items()} if s else {})
 
     __rmul__ = __mul__
 

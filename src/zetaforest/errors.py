@@ -9,8 +9,9 @@ class NotInH1(ZetaForestError):
     """Word or element lies outside the y-initial subspace."""
 
 
-class OrderMismatch(ZetaForestError):
-    """Truncated series of different orders were combined."""
+class OrderMismatch(ZetaForestError, ValueError):
+    """Truncated series of different orders were combined, or a series got
+    a coefficient count other than its order."""
 
 
 class DepthMismatch(ZetaForestError):

@@ -47,6 +47,8 @@ def bumps(ks: Tuple_, cap: int) -> Iterator[tuple[Tuple_, int]]:
     An entry k_i = 0 allows only l_i = 0, as C(l - 1, l) = 0 for l > 0.  An
     odometer, not a recursion, so any depth works, at O(depth) per step.
     """
+    if min(ks, default=0) < 0:
+        raise BadIndex(f"entries must be non-negative: {ks}")
     if cap < 0:
         return
     free = [i for i, k in enumerate(ks) if k]  # the positions that may be bumped

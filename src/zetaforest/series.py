@@ -25,7 +25,7 @@ class TSeries:
         if order < 1:
             raise BadOrder(f"t-order must be >= 1, got {order}")
         if len(coeffs) != order:
-            raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
+            raise OrderMismatch(f"expected {order} coefficients, got {len(coeffs)}")
         self.order = order
         self.coeffs = coeffs
 

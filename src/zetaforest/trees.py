@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
-from .combo import Combo
+from .combo import Combo, accumulate
 from .errors import (
     BadOrder,
     InvalidTree,
@@ -55,6 +55,8 @@ def orient(adj: dict, top: int) -> dict:
     Breadth-first, so every vertex is listed after its parent and the
     reversed map lists children before parents.  O(V).
     """
+    if top not in adj:
+        raise UnknownVertex(f"root {top} is not a vertex")
     par: dict[int, int | None] = {top: None}
     seq = [top]
     for v in seq:
@@ -334,32 +336,22 @@ def w_word(t: Tree) -> HElem:
 
 
 class TreeCombo(Combo):
-    """Formal rational combination of trees, keyed by canonical encoding.
+    """Formal rational combination of trees, keyed by canonical encoding
+    alone, as `HElem` is keyed by word: a key names an isomorphism class."""
 
-    Each key keeps the first tree seen with it as its representative."""
-
-    __slots__ = ("_trees",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[Tree, object]] = ()):
-        trees: dict[str, Tree] = {}  # setdefault keeps the first tree per key
-        super().__init__((trees.setdefault(t.key, t).key, c) for t, c in terms)
-        self._trees = {k: trees[k] for k in self._terms}
-
-    def _derive(self, data: dict, other: "TreeCombo | None" = None) -> "TreeCombo":
-        out = self._wrap(data)
-        if other is None:
-            out._trees = self._trees
-        else:
-            trees = {**other._trees, **self._trees}
-            out._trees = {k: trees[k] for k in data}
-        return out
+        super().__init__((t.key, c) for t, c in terms)
 
     @classmethod
     def from_tree(cls, t: Tree, coeff=1) -> "TreeCombo":
         return cls([(t, coeff)])
 
     def terms(self) -> list[tuple[Tree, object]]:
-        return [(self._trees[k], c) for k, c in self._sorted()]
+        """(tree, coefficient) in key order, each tree parsed from its key, so
+        its vertex ids do not depend on how the input was labelled."""
+        return [(parse_tree(k), c) for k, c in self._sorted()]
 
     def to_json(self) -> dict:
         return {
@@ -423,10 +415,10 @@ def symmetrization_terms(t: Tree, order: int):
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: signed root changes with index bumps
     along the old-root-to-new-root path, one t power per bump weight."""
-    rows: list[list] = [[] for _ in range(order)]
+    rows: list[dict] = [{} for _ in range(order)]
     for degree, coeff, shifted in symmetrization_terms(t, order):
-        rows[degree].append((shifted, coeff))
-    return TSeries(map(TreeCombo, rows), order)
+        accumulate(rows[degree], shifted.key, coeff)
+    return TSeries(map(TreeCombo._wrap, rows), order)
 
 
 def cap_phi(t: Tree) -> TreeCombo:

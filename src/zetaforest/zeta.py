@@ -42,8 +42,8 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 
-from .errors import DegenerateBase, UnknownVertex
-from .indices import Tuple_, bumps
+from .errors import DegenerateBase, NegativeEdgeIndex, NotATree, NotConnected, UnknownVertex
+from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
 from .symmetrize import phi_hat
@@ -54,6 +54,7 @@ from .words import HElem, z_decompose
 @lru_cache(maxsize=4096)
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
+    check_index(k)
     if not k:
         return Rat(1)
     if M <= len(k):
@@ -84,6 +85,10 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     """
     adj = t.adj
     parent = orient(adj, top)
+    if len(parent) != len(adj):
+        raise NotConnected(f"not all vertices are reachable from {top}")
+    if len(t.edges) != len(adj) - 1:
+        raise NotATree(f"{len(adj)} vertices but {len(t.edges)} edges")
     vectors: dict[int, list] = {}
     for v in reversed(parent):
         rows = None
@@ -111,6 +116,8 @@ def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
     n = 0..cap, as numerators over L^(k+l); entry 0 is unused.  Rows are
     tuples because every walk with the same L, cap and order shares them."""
+    if k < 0:
+        raise NegativeEdgeIndex(f"edge index {k}")
     quot = [0] + [L // n for n in range(1, cap + 1)]
     if not flip:
         return (tuple(q**k for q in quot),)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaforest.errors import DepthMismatch
+from zetaforest.errors import BadIndex, DepthMismatch
 from zetaforest.indices import (
     all_indices,
     bumps,
@@ -44,6 +44,12 @@ def test_bumps_count_positive_entries():
             assert all(sum(l) <= cap for l, _ in got)
     assert list(bumps((), 3)) == [((), 1)]
     assert list(bumps((1, 2), -1)) == []
+
+
+def test_bumps_rejects_negative_entries():
+    for ks in ((-1,), (2, 0, -3)):
+        with pytest.raises(BadIndex):
+            list(bumps(ks, 2))
 
 
 def test_bumps_zero_entries_stay_unbumped():

@@ -140,3 +140,19 @@ def test_dead_code_ratchet():
     for path in sorted(perfbench.glob("*.py")):
         named |= set(_named(ast.parse(path.read_text())))
     assert defined - named == set(_UNCALLED)
+
+
+def test_combo_subclasses_add_no_state():
+    # a combination is its dict of keys and nothing else, so + - * wrap the
+    # dict they build and no subclass hook carries state along
+    package = Path(zetaforest.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Combo" for b in node.bases):
+                slots = [ast.literal_eval(s.value) for s in node.body if isinstance(s, ast.Assign)
+                         and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)]
+                found[node.name] = slots
+    assert {"HElem", "TreeCombo"} <= found.keys()
+    assert {name: slots for name, slots in found.items() if slots != [()]} == {}

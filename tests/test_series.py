@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforest.errors import OrderMismatch
+from zetaforest.errors import OrderMismatch, ZetaForestError
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries, rat_series
 from zetaforest.words import HElem
@@ -87,6 +87,9 @@ def test_str_and_json():
 def test_constructor_checks():
     with pytest.raises(ValueError):
         TSeries((Rat(1),), 2)
+    with pytest.raises(OrderMismatch) as err:
+        TSeries((Rat(1),), 2)
+    assert isinstance(err.value, ZetaForestError)
     with pytest.raises(ValueError):
         TSeries((), 0)
     with pytest.raises(OrderMismatch):

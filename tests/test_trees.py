@@ -510,13 +510,24 @@ def test_tree_combo_merges_isomorphic():
     assert not (combo - TreeCombo.from_tree(b, 2))
 
 
-def test_tree_combo_keeps_first_seen_representative():
+def test_tree_combo_terms_are_parsed_from_keys():
+    rng = random.Random(12)
+    for _ in range(40):
+        t = random_tree(rng, max_vertices=7)
+        ids = sorted(t.vertices)
+        shuffled = [v + 100 for v in ids]
+        rng.shuffle(shuffled)
+        copy = relabel(t, dict(zip(ids, shuffled)))
+        for a, b in zip(cap_phi_hat(t, 3).coeffs, cap_phi_hat(copy, 3).coeffs):
+            for tree, _ in a.terms():
+                assert tree == parse_tree(tree.key)
+            assert a.terms() == b.terms()
+            assert a.to_json() == b.to_json()
     a = linear_tree(1, 2)
     b = relabel(a, {v: v + 10 for v in a.vertices})
-    ((rep, c),) = TreeCombo([(a, 1), (b, 2)]).terms()
-    assert rep is a and c == 3
-    ((rep, c),) = (TreeCombo.from_tree(b) + TreeCombo.from_tree(a, 2)).terms()
-    assert rep is b and c == 3
+    for combo in (TreeCombo([(a, 1), (b, 2)]), TreeCombo.from_tree(b) + TreeCombo.from_tree(a, 2)):
+        ((rep, c),) = combo.terms()
+        assert rep == parse_tree(a.key) and c == 3
 
 
 def test_cap_phi_hat_cancellation_leaves_values_untouched():

@@ -14,7 +14,15 @@ from zetaforest.catalog import (
     star_tree,
     unit_tree,
 )
-from zetaforest.errors import DegenerateBase, NotInH1, UnknownVertex
+from zetaforest.errors import (
+    BadIndex,
+    DegenerateBase,
+    NegativeEdgeIndex,
+    NotATree,
+    NotConnected,
+    NotInH1,
+    UnknownVertex,
+)
 from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
 from zetaforest.series import rat_series
@@ -42,6 +50,12 @@ def test_zeta_index_examples():
     assert zeta_index((), 0) == 1
     assert zeta_index((1, 1), 2) == 0
     assert zeta_index((2,), 4) == 1 + Rat(1, 4) + Rat(1, 9)
+
+
+def test_zeta_index_rejects_non_index():
+    for k in ((-1,), (2, -1), (0,)):
+        with pytest.raises(BadIndex):
+            zeta_index(k, 4)
 
 
 def test_zeta_index_nested_order():
@@ -183,6 +197,23 @@ def test_deep_chain_does_not_recurse():
     assert zeta_tree(chain, 3) == 0
     assert zeta_tree_u(chain, chain.root, 3, 3) == rat_series([0, 0, 0], 3)
     assert zeta_tree_u(chain, leaf, 3, 3) == rat_series([0, 0, 0], 3)
+
+
+def test_broken_structure_is_rejected():
+    # unvalidated trees whose structure is not a tree fail in O(1) checks
+    broken = [
+        (Tree.build(0, [0, 1, 2], [], [(1, 2, 1)]), NotConnected),
+        (Tree.build(0, [0, 1, 2], [], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), NotATree),
+        (Tree.build(0, [0, 1], [], [(0, 1, -1)]), NegativeEdgeIndex),
+        (Tree.build(9, [0], [], []), UnknownVertex),
+    ]
+    for t, error in broken:
+        with pytest.raises(error):
+            zeta_tree(t, 3)
+        with pytest.raises(error):
+            zeta_shat_tree(t, 3, 2)
+    with pytest.raises(UnknownVertex):
+        broken[-1][0].key
 
 
 def test_zero_base_raises_degenerate_base():
