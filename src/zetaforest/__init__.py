@@ -5,81 +5,62 @@ and quasi-shuffle products and its t-adic symmetrization map; 2-colored
 rooted trees with edge indices, their products, harvestable forms, the word
 extraction map and the tree-level symmetrization; and exact truncated-sum
 oracles that evaluate everything numerically for machine verification.
+
+Every public name is loaded from its submodule on first use (PEP 562), so
+`import zetaforest` alone loads no submodule and a command-line run loads
+only the layers its command calls.
 """
 
-from .errors import ZetaForestError
-from .indices import bumps, tuple_add, tuple_reverse, weight
-from .rationals import Rat
-from .series import TSeries
-from .symmetrize import phi, phi_hat
-from .trees import (
-    Tree,
-    TreeCombo,
-    cap_phi,
-    cap_phi_hat,
-    circ_h,
-    circ_product,
-    harvestable_form,
-    is_essentially_positive,
-    is_harvestable,
-    parse_tree,
-    tree_to_json,
-    unit_tree,
-    w_word,
-)
-from .verify import RunConfig, run_suite
-from .words import (
-    HElem,
-    harmonic,
-    right_mul_x_pow,
-    shuffle,
-    word_from_index,
-    z_decompose,
-)
-from .zeta import (
-    z_m_eval,
-    z_shat,
-    zeta_index,
-    zeta_shat_tree,
-    zeta_tree,
-    zeta_tree_u,
-)
+from importlib import import_module
 
-__all__ = [
-    "HElem",
-    "Rat",
-    "RunConfig",
-    "TSeries",
-    "Tree",
-    "TreeCombo",
-    "ZetaForestError",
-    "bumps",
-    "cap_phi",
-    "cap_phi_hat",
-    "circ_h",
-    "circ_product",
-    "harmonic",
-    "harvestable_form",
-    "is_essentially_positive",
-    "is_harvestable",
-    "parse_tree",
-    "phi",
-    "phi_hat",
-    "right_mul_x_pow",
-    "run_suite",
-    "shuffle",
-    "tree_to_json",
-    "tuple_add",
-    "tuple_reverse",
-    "unit_tree",
-    "w_word",
-    "weight",
-    "word_from_index",
-    "z_decompose",
-    "z_m_eval",
-    "z_shat",
-    "zeta_index",
-    "zeta_shat_tree",
-    "zeta_tree",
-    "zeta_tree_u",
-]
+_EXPORTS = {
+    "ZetaForestError": "errors",
+    "bumps": "indices",
+    "tuple_add": "indices",
+    "tuple_reverse": "indices",
+    "weight": "indices",
+    "Rat": "rationals",
+    "TSeries": "series",
+    "phi": "symmetrize",
+    "phi_hat": "symmetrize",
+    "Tree": "trees",
+    "TreeCombo": "trees",
+    "cap_phi": "trees",
+    "cap_phi_hat": "trees",
+    "circ_h": "trees",
+    "circ_product": "trees",
+    "harvestable_form": "trees",
+    "is_essentially_positive": "trees",
+    "is_harvestable": "trees",
+    "parse_tree": "trees",
+    "tree_to_json": "trees",
+    "unit_tree": "trees",
+    "w_word": "trees",
+    "RunConfig": "verify",
+    "run_suite": "verify",
+    "HElem": "words",
+    "harmonic": "words",
+    "right_mul_x_pow": "words",
+    "shuffle": "words",
+    "word_from_index": "words",
+    "z_decompose": "words",
+    "z_m_eval": "zeta",
+    "z_shat": "zeta",
+    "zeta_index": "zeta",
+    "zeta_shat_tree": "zeta",
+    "zeta_tree": "zeta",
+    "zeta_tree_u": "zeta",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+

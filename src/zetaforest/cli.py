@@ -3,39 +3,34 @@
 Exit codes: 0 on success (verification passed), 1 when a verification suite
 finds a counterexample, 2 on input errors.  All output is UTF-8 and
 newline-terminated; identical invocations produce identical bytes.
+
+A run loads only what its command calls: this module imports the standard
+library and the light `errors` and `indices` at load time, each command's
+library call imports its layer when it runs, and a subcommand's arguments
+are declared only when that subcommand is parsed, so `zetaforest.verify`
+(which loads every layer) loads only for `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BadIndex, ZetaForestError
 from .indices import Tuple_
-from .symmetrize import phi, phi_hat
-from .trees import (
-    Tree,
-    cap_phi,
-    cap_phi_hat,
-    harvestable_form,
-    parse_tree,
-    tree_to_json,
-    w_word,
-)
-from .verify import SUITE_NAMES, RunConfig, run_suite
-from .words import HElem
-from .zeta import zeta_index, zeta_shat_tree, zeta_tree
+
+_lib = sys.modules[__package__]  # the package: each name loads its layer on first use
 
 
 def default_t_order() -> int:
-    """Default truncation order (`RunConfig.t_order`), overridable through ZF_T_ORDER."""
+    """Default truncation order (`series.DEFAULT_ORDER`), overridable through ZF_T_ORDER."""
     raw = os.environ.get("ZF_T_ORDER", "").strip()
     if not raw:
-        return RunConfig.t_order
+        from .series import DEFAULT_ORDER
+
+        return DEFAULT_ORDER
     try:
         value = int(raw)
     except ValueError:
@@ -65,8 +60,7 @@ def parse_index(s: str) -> Tuple_:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """A value command: `call(input, [M], [t_order])` on the parsed input."""
 
     help: str
@@ -78,23 +72,64 @@ class _Command:
 
 _INPUTS = {
     "index": ("comma-separated index, empty for the empty index", parse_index),
-    "tree": ("tree DSL, e.g. b(2:b(1:b()))", parse_tree),
+    "tree": ("tree DSL, e.g. b(2:b(1:b()))", lambda s: _lib.parse_tree(s)),
 }
 
 _COMMANDS = {
     "phi": _Command("constant-term symmetrization of the z-word of an index", "index",
-                    lambda k: phi(HElem.from_index(k))),
+                    lambda k: _lib.phi(_lib.HElem.from_index(k))),
     "phi-hat": _Command("t-adic symmetrization of the z-word of an index", "index",
-                        lambda k, order: phi_hat(HElem.from_index(k), order), t_order=True),
-    "w": _Command("word of a harvestable pair", "tree", w_word),
-    "harvest": _Command("harvestable form of an essentially positive pair", "tree", harvestable_form),
-    "cap-phi": _Command("constant-term tree symmetrization", "tree", cap_phi),
-    "cap-phi-hat": _Command("t-adic tree symmetrization", "tree", cap_phi_hat, t_order=True),
-    "zeta": _Command("truncated multiple harmonic sum", "index", zeta_index, m=True),
-    "zeta-tree": _Command("truncated tree sum", "tree", zeta_tree, m=True),
-    "zeta-shat": _Command("shifted truncated tree sum as a t-series", "tree", zeta_shat_tree,
-                          m=True, t_order=True),
+                        lambda k, order: _lib.phi_hat(_lib.HElem.from_index(k), order), t_order=True),
+    "w": _Command("word of a harvestable pair", "tree", lambda t: _lib.w_word(t)),
+    "harvest": _Command("harvestable form of an essentially positive pair", "tree",
+                        lambda t: _lib.harvestable_form(t)),
+    "cap-phi": _Command("constant-term tree symmetrization", "tree", lambda t: _lib.cap_phi(t)),
+    "cap-phi-hat": _Command("t-adic tree symmetrization", "tree",
+                            lambda t, order: _lib.cap_phi_hat(t, order), t_order=True),
+    "zeta": _Command("truncated multiple harmonic sum", "index",
+                     lambda k, m: _lib.zeta_index(k, m), m=True),
+    "zeta-tree": _Command("truncated tree sum", "tree", lambda t, m: _lib.zeta_tree(t, m), m=True),
+    "zeta-shat": _Command("shifted truncated tree sum as a t-series", "tree",
+                          lambda t, m, order: _lib.zeta_shat_tree(t, m, order), m=True, t_order=True),
 }
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser that declares its arguments, through `declare`,
+    when it first parses (its `--help` included), not when it is built."""
+
+    def __init__(self, *args, declare: Callable[[argparse.ArgumentParser], None], **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            self._declare(self)
+            self._declare = None
+        return super().parse_known_args(args, namespace)
+
+
+def _value_arguments(cmd: _Command, p: argparse.ArgumentParser) -> None:
+    p.add_argument(f"--{cmd.input}", required=True, help=_INPUTS[cmd.input][0])
+    if cmd.m:
+        p.add_argument("-M", "--modulus-bound", dest="m", type=int, required=True, help="upper summation bound M")
+    if cmd.t_order:
+        from .series import DEFAULT_ORDER
+
+        p.add_argument("--t-order", dest="t_order", type=int, default=None, help=f"truncation order (default {DEFAULT_ORDER}, env ZF_T_ORDER)")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import SUITE_NAMES, RunConfig
+
+    p.add_argument("--suite", required=True, help=" | ".join(SUITE_NAMES))
+    p.add_argument("--t-order", dest="t_order", type=int, default=None)
+    p.add_argument("-M", "--modulus-bound", dest="m", type=int, default=RunConfig.m_max)
+    p.add_argument("--weight-max", dest="weight_max", type=int, default=RunConfig.weight_max)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--count", type=int, default=RunConfig.count)
+    p.add_argument("--json", action="store_true")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,38 +138,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Symmetrization maps on words and 2-colored rooted trees, "
         "with exact truncated-sum oracles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        p.add_argument(f"--{cmd.input}", required=True, help=_INPUTS[cmd.input][0])
-        if cmd.m:
-            p.add_argument("-M", "--modulus-bound", dest="m", type=int, required=True, help="upper summation bound M")
-        if cmd.t_order:
-            p.add_argument("--t-order", dest="t_order", type=int, default=None, help=f"truncation order (default {RunConfig.t_order}, env ZF_T_ORDER)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, help=" | ".join(SUITE_NAMES))
-    v.add_argument("--t-order", dest="t_order", type=int, default=None)
-    v.add_argument("-M", "--modulus-bound", dest="m", type=int, default=RunConfig.m_max)
-    v.add_argument("--weight-max", dest="weight_max", type=int, default=RunConfig.weight_max)
-    v.add_argument("--seed", type=int, default=RunConfig.seed)
-    v.add_argument("--count", type=int, default=RunConfig.count)
-    v.add_argument("--json", action="store_true")
+        sub.add_parser(name, help=cmd.help, declare=lambda p, cmd=cmd: _value_arguments(cmd, p))
+    sub.add_parser("verify", help="run a verification suite", declare=_verify_arguments)
     return parser
 
 
 def _render(out, as_json: bool) -> str:
-    """`str(out)`, or its JSON: `out.to_json()`, but `{"dsl", "tree"}` for a
-    tree and `{"value"}` for an exact rational."""
+    """`str(out)`, or its JSON: `out.to_json()`, but `{"value"}` for an exact
+    rational."""
     if not as_json:
         return str(out)
-    if isinstance(out, Tree):
-        obj = {"dsl": out.key, "tree": tree_to_json(out)}
-    elif hasattr(out, "to_json"):
-        obj = out.to_json()
-    else:
-        obj = {"value": str(out)}
+    import json
+
+    obj = out.to_json() if hasattr(out, "to_json") else {"value": str(out)}
     return json.dumps(obj, sort_keys=True)
 
 
@@ -148,6 +166,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise BadIndex("--t-order must be >= 1")
 
     if args.command == "verify":
+        from .verify import RunConfig, run_suite
+
         cfg = RunConfig(t_order=order, m_max=args.m, weight_max=args.weight_max,
                         seed=args.seed, count=args.count)
         report = run_suite(args.suite, cfg)

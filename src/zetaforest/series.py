@@ -14,6 +14,8 @@ from typing import Callable, Iterable
 from .errors import BadOrder, OrderMismatch
 from .rationals import Rat
 
+DEFAULT_ORDER = 8  # the truncation order of a run that names none (`RunConfig`, the CLI)
+
 
 class TSeries:
     """Coefficient vector of fixed length `order`; index = degree in t."""

@@ -23,7 +23,6 @@ input plus one pass over each term's path, not from a walk per term.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -67,12 +66,33 @@ def orient(adj: dict, top: int) -> dict:
     return par
 
 
-@dataclass(frozen=True)
 class Tree:
-    root: int
-    black: frozenset
-    white: frozenset
-    edges: tuple
+    """A tree: its root, its black and its white vertex ids, and its edges
+    (u, v, k) with index k, which `build` orders as u < v and sorts.
+
+    Immutable, equal and hashed by those four fields.  A plain class, not a
+    dataclass, so that loading it does not load `dataclasses` and `inspect`;
+    its `__dict__` holds the fields and what the cached properties compute.
+    """
+
+    def __init__(self, root: int, black: frozenset, white: frozenset, edges: tuple):
+        d = self.__dict__  # past the __setattr__ below, which refuses every write
+        d["root"], d["black"], d["white"], d["edges"] = root, black, white, edges
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Tree is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Tree is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.black, self.white, self.edges) == (
+            other.root, other.black, other.white, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.black, self.white, self.edges))
 
     @classmethod
     def build(cls, root: int, black: Iterable[int], white: Iterable[int],
@@ -87,9 +107,12 @@ class Tree:
     @cached_property
     def adj(self) -> dict:
         a: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        for u, v, k in self.edges:
-            a.setdefault(u, {})[v] = k
-            a.setdefault(v, {})[u] = k
+        try:
+            for u, v, k in self.edges:
+                a[u][v] = k
+                a[v][u] = k
+        except KeyError:
+            raise UnknownVertex(f"edge {u}-{v} uses an unknown vertex") from None
         return a
 
     @cached_property
@@ -153,15 +176,22 @@ class Tree:
         """The vertices from v up to the root, both ends included."""
         if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the tree")
+        par = self.parent
+        if v not in par:
+            raise NotConnected(f"vertex {v} is not reachable from the root")
         path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
+        while par[path[-1]] is not None:
+            path.append(par[path[-1]])
         return path
 
     def change_root(self, v: int) -> "Tree":
         if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the tree")
-        return replace(self, root=v)
+        return Tree(v, self.black, self.white, self.edges)
+
+    def to_json(self) -> dict:
+        """The canonical DSL and the structural encoding of `tree_to_json`."""
+        return {"dsl": self.key, "tree": tree_to_json(self)}
 
     def __str__(self) -> str:
         return self.key

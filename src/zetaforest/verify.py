@@ -22,7 +22,7 @@ from .catalog import (
 from .errors import BadRunConfig, UnknownSuite, ZetaForestError
 from .indices import Tuple_, all_indices, bumps, is_index, tuple_add, tuple_reverse, weight
 from .rationals import Rat
-from .series import TSeries
+from .series import DEFAULT_ORDER, TSeries
 from .symmetrize import phi, phi_hat
 from .trees import (
     Tree,
@@ -40,7 +40,7 @@ from .zeta import z_m_eval, z_m_series, zeta_shat_tree, zeta_tree
 
 @dataclass(frozen=True)
 class RunConfig:
-    t_order: int = 8
+    t_order: int = DEFAULT_ORDER
     m_max: int = 10
     weight_max: int = 4
     seed: int = 0

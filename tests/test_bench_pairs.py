@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -89,6 +90,7 @@ def test_main_writes_alternating_pairs(tmp_path):
     record = json.loads(out.read_text())
     assert record["seeds"] == [1, 2, 3]
     assert record["machine"]["rat_backend"] == "fractions.Fraction"
+    assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert record["parent"]["src_sha256"] == record["change"]["src_sha256"]  # same sources
     assert list(record["workloads"]) == ["w1", "w2"]
     pairs = record["workloads"]["w1"]["pairs"]

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -178,14 +177,14 @@ def test_library_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(k, m):
         raise ValueError("bug")
 
-    monkeypatch.setitem(cli_mod._COMMANDS, "zeta", replace(cli_mod._COMMANDS["zeta"], call=broken))
+    monkeypatch.setitem(cli_mod._COMMANDS, "zeta", cli_mod._COMMANDS["zeta"]._replace(call=broken))
     with pytest.raises(ValueError, match="bug"):
         main(["zeta", "--index", "1", "-M", "3"])
     assert capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from zetaforest import cli as cli_mod
+    from zetaforest import verify
     from zetaforest.verify import Failure, Report
 
     def fake_run_suite(name, cfg):
@@ -196,7 +195,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
             failures=[Failure("index=9", "lhs=0 rhs=1")],
         )
 
-    monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+    monkeypatch.setattr(verify, "run_suite", fake_run_suite)  # read when verify runs
     code, out, _ = run_cli(capsys, "verify", "--suite", "btt")
     assert code == 1
     assert "FAIL index=9 :: lhs=0 rhs=1" in out
@@ -254,6 +253,80 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `python -c code` in a fresh interpreter that imports the
+    same package as this process, installed or not."""
+    home = str(Path(zetaforest.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "ZF_T_ORDER"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": path}, check=True)
+    return proc.stdout
+
+
+LOADS = """
+import sys
+before = set(sys.modules)
+{run}
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+RUN_MAIN = """
+import contextlib, io
+from zetaforest.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+WORDS_ONLY = {"zetaforest.trees", "zetaforest.zeta", "zetaforest.verify", "zetaforest.catalog"}
+NO_SUITES = {"zetaforest.verify", "zetaforest.catalog"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["phi", "--index", "3,1"], WORDS_ONLY),
+    (["phi-hat", "--index", "2", "--t-order", "3", "--json"], WORDS_ONLY),
+    (["zeta", "--index", "2,1", "-M", "5"], NO_SUITES),
+    (["cap-phi", "--tree", "b(2:b(1:b()))", "--json"], NO_SUITES),
+    (["zeta-tree", "--tree", "b(2:b(1:b()))", "-M", "4"], NO_SUITES),
+    (["harvest", "--tree", "b(1:b(1:b(),1:b()))"], NO_SUITES),
+])
+def test_value_command_imports(argv, absent):
+    # a cold run loads only the layers its command calls, and no dataclasses
+    # (which loads inspect) on the way
+    loaded = set(_fresh_python(LOADS.format(run=RUN_MAIN.format(argv=argv))).split())
+    assert "zetaforest.cli" in loaded
+    assert loaded & (absent | {"dataclasses", "inspect"}) == set()
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _fresh_python(LOADS.format(run="import zetaforest")).split()
+    assert [m for m in loaded if m.startswith("zetaforest")] == ["zetaforest"]
+
+
+def _help(capsys, *argv) -> str:
+    """The `--help` text of a subcommand, every run of white space one blank."""
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_comes_from_the_library_definitions(capsys, monkeypatch):
+    from zetaforest.cli import _build_parser, default_t_order
+    from zetaforest.verify import SUITE_NAMES, RunConfig
+
+    monkeypatch.delenv("ZF_T_ORDER", raising=False)
+    monkeypatch.setenv("COLUMNS", "200")  # no option's help is wrapped
+    assert f"--suite SUITE {' | '.join(SUITE_NAMES)} " in _help(capsys, "verify")
+    expected = f"--t-order T_ORDER truncation order (default {RunConfig.t_order}, env ZF_T_ORDER) "
+    for command in ("phi-hat", "cap-phi-hat", "zeta-shat"):
+        assert expected in _help(capsys, command)
+    args = _build_parser().parse_args(["verify", "--suite", "btt"])
+    cfg = RunConfig(t_order=default_t_order(), m_max=args.m, weight_max=args.weight_max,
+                    seed=args.seed, count=args.count)
+    assert args.t_order is None and cfg == RunConfig()
 
 
 # --- golden output and malformed input ------------------------------------------

@@ -105,17 +105,21 @@ _UNCALLED = {
 }
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module: ast.Module):
     """Top-level functions and classes, and the non-dunder methods of the
-    classes."""
+    classes.  Dunder hooks, such as a module's `__getattr__`, are called by
+    the interpreter and named nowhere, so they are left out."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in module.body:
-        if isinstance(node, (*functions, ast.ClassDef)):
+        if isinstance(node, (*functions, ast.ClassDef)) and not _is_dunder(node.name):
             yield node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, functions) and not (
-                        item.name.startswith("__") and item.name.endswith("__")):
+                if isinstance(item, functions) and not _is_dunder(item.name):
                     yield item.name
 
 

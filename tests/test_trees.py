@@ -170,6 +170,36 @@ def test_root_path_star():
         t.root_path(99)
 
 
+def test_root_path_of_an_unreachable_vertex():
+    # an unvalidated tree whose vertex 1 hangs off no path to the root
+    t = Tree.build(0, [0, 1, 2], [], [(1, 2, 1)])
+    with pytest.raises(NotConnected):
+        t.root_path(1)
+
+
+def test_edge_endpoint_without_a_color():
+    # vertex 5 is in neither color set: no silent white vertex
+    t = Tree.build(0, [0], [], [(0, 5, 1)])
+    with pytest.raises(UnknownVertex):
+        t.adj
+    with pytest.raises(UnknownVertex):
+        t.key
+
+
+def test_tree_is_an_immutable_value():
+    t = linear_tree(2, 1)
+    same = Tree(t.root, frozenset(t.black), frozenset(t.white), tuple(t.edges))
+    assert t == same and hash(t) == hash(same) and t is not same
+    assert t != t.change_root(2) and t != (t.root, t.black, t.white, t.edges)
+    assert Tree(root=t.root, black=t.black, white=t.white, edges=t.edges) == t
+    with pytest.raises(AttributeError):
+        t.root = 1
+    with pytest.raises(AttributeError):
+        del t.edges
+    assert t.key == "b(1:b(2:b()))" and t.__dict__["key"] == t.key  # cached
+    assert t.to_json() == {"dsl": t.key, "tree": tree_to_json(t)}
+
+
 def test_essential_positivity():
     assert is_essentially_positive(linear_tree(1, 2, 1))
     zero_edge = Tree.build(0, [0, 1], [], [(0, 1, 0)])
@@ -424,7 +454,7 @@ def test_cap_phi_hat_rejects_bad_input():
 
 
 def test_symmetrization_takes_edges_in_either_orientation():
-    # the dataclass constructor does not sort edges the way Tree.build does
+    # the constructor does not sort edges the way Tree.build does
     built = Tree.build(0, [0, 1, 2], [], [(0, 1, 2), (1, 2, 1)])
     raw = Tree(0, built.black, built.white, ((1, 0, 2), (2, 1, 1)))
     assert cap_phi_hat(raw, 3) == cap_phi_hat(built, 3)

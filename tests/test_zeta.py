@@ -216,6 +216,15 @@ def test_broken_structure_is_rejected():
         broken[-1][0].key
 
 
+def test_unvalidated_trees_raise_the_structural_error():
+    # u = 1 is not reachable from the root: its flipped path cannot be walked
+    with pytest.raises(NotConnected):
+        zeta_tree_u(Tree.build(0, [0, 1, 2], [], [(1, 2, 1)]), 1, 3, 2)
+    # vertex 5 has no color; it is not taken for a white terminal
+    with pytest.raises(UnknownVertex):
+        zeta_tree(Tree.build(0, [0], [], [(0, 5, 1)]), 3)
+
+
 def test_zero_base_raises_degenerate_base():
     # white terminals are invalid, and leave an edge with no black beyond it
     white_root = Tree.build(0, [1, 2], [0], [(0, 1, 1), (1, 2, 1)])

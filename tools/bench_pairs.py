@@ -8,10 +8,11 @@ runs ``python3 perfbench/run.py --workload W --seed S --seconds T`` once from
 the root of each checkout, T being the ``run_seconds`` of the change's
 ``BENCHMARK.json``, one run at a time; the side that goes first
 alternates from seed to seed (the parent first on the first seed).  The
-record names the machine and both sides, and gives every pair's end-to-end
-metrics and, per metric, both sides' medians and quartiles (inclusive
-method), the pairs the change wins, and the change's median over the
-parent's against the metric's bound in the change's ``BENCHMARK.json``.
+record names the machine, whether its interpreters write bytecode, and
+both sides, and gives every pair's end-to-end metrics and, per metric,
+both sides' medians and quartiles (inclusive method), the pairs the change
+wins, and the change's median over the parent's against the metric's bound
+in the change's ``BENCHMARK.json``.
 The record is rewritten after every pair, so an interrupted run leaves the
 pairs it finished.
 """
@@ -120,8 +121,10 @@ def machine(checkout: Path) -> dict:
     code = "from zetaforest.rationals import Rat; print(Rat.__module__ + '.' + Rat.__name__)"
     rat = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(checkout / "src")}).stdout.strip()
+    # a run that writes no bytecode compiles every module it imports, and
+    # the fresh interpreters of cli-cold inherit the setting
     return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "rat_backend": rat}
+            "rat_backend": rat, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def main(argv=None) -> int:
