@@ -241,29 +241,19 @@ def test_env_var_t_order(capsys, monkeypatch):
     assert (code, out) == (0, "3/2\n")
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, installed or not
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports the same package
+    as this process, installed or not."""
     home = str(Path(zetaforest.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "zetaforest", "zeta", "--index", "1,2", "-M", "5"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = _fresh_python("-m", "zetaforest", "zeta", "--index", "1,2", "-M", "5")
     assert proc.returncode == 0
     assert proc.stdout.endswith("\n")
-
-
-def _fresh_python(code: str) -> str:
-    """stdout of `python -c code` in a fresh interpreter that imports the
-    same package as this process, installed or not."""
-    home = str(Path(zetaforest.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if k != "ZF_T_ORDER"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**env, "PYTHONPATH": path}, check=True)
-    return proc.stdout
 
 
 LOADS = """
@@ -280,6 +270,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv!r}) == 0
 """
 
+
+def _loaded_by(code: str) -> set:
+    """The modules that running `code` in a fresh interpreter loads."""
+    proc = _fresh_python("-c", LOADS.format(run=code))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 WORDS_ONLY = {"zetaforest.trees", "zetaforest.zeta", "zetaforest.verify", "zetaforest.catalog"}
 NO_SUITES = {"zetaforest.verify", "zetaforest.catalog"}
 
@@ -295,14 +293,14 @@ NO_SUITES = {"zetaforest.verify", "zetaforest.catalog"}
 def test_value_command_imports(argv, absent):
     # a cold run loads only the layers its command calls, and no dataclasses
     # (which loads inspect) on the way
-    loaded = set(_fresh_python(LOADS.format(run=RUN_MAIN.format(argv=argv))).split())
+    loaded = _loaded_by(RUN_MAIN.format(argv=argv))
     assert "zetaforest.cli" in loaded
     assert loaded & (absent | {"dataclasses", "inspect"}) == set()
 
 
 def test_package_import_loads_no_submodule():
-    loaded = _fresh_python(LOADS.format(run="import zetaforest")).split()
-    assert [m for m in loaded if m.startswith("zetaforest")] == ["zetaforest"]
+    loaded = _loaded_by("import zetaforest")
+    assert {m for m in loaded if m.startswith("zetaforest")} == {"zetaforest"}
 
 
 def _help(capsys, *argv) -> str:
