@@ -16,8 +16,6 @@ from importlib import import_module
 _EXPORTS = {
     "ZetaForestError": "errors",
     "bumps": "indices",
-    "tuple_add": "indices",
-    "tuple_reverse": "indices",
     "weight": "indices",
     "Rat": "rationals",
     "TSeries": "series",

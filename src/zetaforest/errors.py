@@ -14,10 +14,6 @@ class OrderMismatch(ZetaForestError, ValueError):
     a coefficient count other than its order."""
 
 
-class DepthMismatch(ZetaForestError):
-    """Componentwise tuple operation on tuples of different depths."""
-
-
 class BadIndex(ZetaForestError):
     """Malformed index literal or non-positive entry."""
 

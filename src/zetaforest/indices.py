@@ -2,6 +2,9 @@
 
 An *index* is a tuple whose entries are all positive; the empty tuple is the
 empty index.  Weight is the entry sum, depth the length.
+
+`bumps` is the one t-adic expansion: every map that raises indices by a bump
+vector, with its binomial weight, sign and t-degree, reads all three from it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from itertools import combinations
 from math import comb, prod
 from typing import Iterator
 
-from .errors import BadIndex, DepthMismatch
+from .errors import BadIndex, BadOrder
 
 Tuple_ = tuple[int, ...]
 
@@ -30,42 +33,39 @@ def check_index(k: Tuple_) -> Tuple_:
     return tuple(k)
 
 
-def tuple_reverse(k: Tuple_) -> Tuple_:
-    return tuple(reversed(k))
+def bumps(ks: Tuple_, order: int) -> Iterator[tuple[Tuple_, int, int]]:
+    """The expansion of prod_i (t - a_i)^-k_i below t^order, term by term.
 
-
-def tuple_add(k: Tuple_, l: Tuple_) -> Tuple_:
-    if len(k) != len(l):
-        raise DepthMismatch(f"depth {len(k)} vs {len(l)}")
-    return tuple(a + b for a, b in zip(k, l))
-
-
-def bumps(ks: Tuple_, cap: int) -> Iterator[tuple[Tuple_, int]]:
-    """(l, b(ks; l)) for each l >= 0 with wt(l) <= cap and nonzero weight
-    b(ks; l) = prod C(k_i + l_i - 1, l_i), in lexicographic order of l.
+    Since (t - a)^-k = (-1)^k sum_l C(k + l - 1, l) a^(-k-l) t^l, each bump
+    vector l >= 0 with wt(l) < order and a nonzero weight
+    b(ks; l) = prod C(k_i + l_i - 1, l_i) yields the bumped index ks + l,
+    its t-degree wt(l) and its signed weight (-1)^wt(ks) b(ks; l), in
+    lexicographic order of l.
 
     An entry k_i = 0 allows only l_i = 0, as C(l - 1, l) = 0 for l > 0.  An
     odometer, not a recursion, so any depth works, at O(depth) per step.
     """
+    if order < 1:
+        raise BadOrder(f"t-order must be >= 1, got {order}")
     if min(ks, default=0) < 0:
         raise BadIndex(f"entries must be non-negative: {ks}")
-    if cap < 0:
-        return
+    base = weight(ks)
+    sign = -1 if base % 2 else 1
     free = [i for i, k in enumerate(ks) if k]  # the positions that may be bumped
     d = len(ks)
-    l, facs = [0] * d, [1] * d
-    total = j = 0  # free[j]: the position bumped last, the last nonzero one of l
+    bumped, facs = list(ks), [1] * d
+    degree = j = 0  # free[j]: the position bumped last, the last bumped one
     while True:
-        yield tuple(l), prod(facs)
+        yield tuple(bumped), degree, sign * prod(facs)
         # the successor bumps the last position with room and clears the rest
-        j = len(free) - 1 if total < cap else j - 1
+        j = len(free) - 1 if degree < order - 1 else j - 1
         if j < 0:
             return
         p = free[j]
-        l[p] += 1
-        facs[p] = comb(ks[p] + l[p] - 1, l[p])
-        l[p + 1 :], facs[p + 1 :] = [0] * (d - p - 1), [1] * (d - p - 1)
-        total = sum(l)
+        bumped[p] += 1
+        facs[p] = comb(bumped[p] - 1, bumped[p] - ks[p])
+        bumped[p + 1 :], facs[p + 1 :] = ks[p + 1 :], [1] * (d - p - 1)
+        degree = sum(bumped) - base
 
 
 def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:

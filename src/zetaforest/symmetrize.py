@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import bumps, tuple_add, tuple_reverse, weight
+from .indices import bumps
 from .series import TSeries
 from .words import HElem, Word, shuffle, z_decompose
 
@@ -25,12 +25,9 @@ def _phi_hat_index(w: Word, order: int) -> TSeries:
     k = z_decompose(w)
     rows: list[dict] = [{} for _ in range(order)]
     for i in range(len(k) + 1):
-        head, tail = k[:i], k[i:]
-        sign = -1 if weight(tail) % 2 else 1
-        left = HElem.from_index(head)
-        for l, b in bumps(tail, order - 1):
-            right = HElem.from_index(tuple_reverse(tuple_add(tail, l)))
-            shuffle(left, right).add_into(rows[sum(l)], sign * b)
+        head = HElem.from_index(k[:i])
+        for bumped, d, c in bumps(k[i:], order):
+            shuffle(head, HElem.from_index(bumped[::-1])).add_into(rows[d], c)
     return TSeries(map(HElem._wrap, rows), order)
 
 

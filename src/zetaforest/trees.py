@@ -28,7 +28,6 @@ from typing import Iterable
 
 from .combo import Combo, accumulate
 from .errors import (
-    BadOrder,
     InvalidTree,
     NegativeEdgeIndex,
     NotATree,
@@ -118,7 +117,11 @@ class Tree:
     @cached_property
     def parent(self) -> dict:
         """Parent map oriented away from the root (root maps to None)."""
-        return orient(self.adj, self.root)
+        return self.parent_from(self.root)
+
+    def parent_from(self, top: int) -> dict:
+        """Parent map of the tree hung from `top`; see `orient`."""
+        return orient(self.adj, top)
 
     @cached_property
     def key(self) -> str:
@@ -404,8 +407,6 @@ def symmetrization_terms(t: Tree, order: int):
     walk, so only the path is re-encoded, from the old root down to v: each
     path vertex takes the encoding so far as one more child among its others.
     """
-    if order < 1:
-        raise BadOrder(f"t-order must be >= 1, got {order}")
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
     if not is_essentially_positive(t):
@@ -417,7 +418,6 @@ def symmetrization_terms(t: Tree, order: int):
         path = t.root_path(v)
         steps = [at[e] for e in zip(path, path[1:])]
         ks = tuple(t.edges[i][2] for i in steps)
-        sign = -1 if sum(ks) % 2 else 1
         # per path vertex, the old root first: the sorted (index, DSL) pairs
         # of its children off the path, their rendered items, its opening,
         # and where in t.edges its edge to the vertex above it sits
@@ -428,18 +428,16 @@ def symmetrization_terms(t: Tree, order: int):
             others.append((pairs, [f"{k}:{e}" for k, e in pairs], "b(" if a in t.black else "w(", i))
         _, items, head, _ = others.pop(0)
         top = head + ",".join(items) + ")"
-        for l, b in bumps(ks, order - 1):
+        for bumped, d, c in bumps(ks, order):
             s, edges = top, list(t.edges)
-            for (pairs, items, head, i), x in zip(others, reversed(l)):
-                u, w, k = edges[i]
-                if x:
-                    k += x
-                    edges[i] = (u, w, k)
+            for (pairs, items, head, i), k in zip(others, reversed(bumped)):
+                u, w, _ = edges[i]
+                edges[i] = (u, w, k)
                 j = bisect(pairs, (k, s))
                 s = head + ",".join(items[:j] + [f"{k}:{s}"] + items[j:]) + ")"
             shifted = Tree(v, t.black, t.white, tuple(edges))
             shifted.__dict__["key"] = s  # the slot cached_property fills
-            yield sum(l), sign * b, shifted
+            yield d, c, shifted
 
 
 def cap_phi_hat(t: Tree, order: int) -> TSeries:

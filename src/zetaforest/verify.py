@@ -19,8 +19,8 @@ from .catalog import (
     symmetric_hybrid_tree,
     unit_tree,
 )
-from .errors import BadRunConfig, UnknownSuite, ZetaForestError
-from .indices import Tuple_, all_indices, bumps, is_index, tuple_add, tuple_reverse, weight
+from .errors import BadIndex, BadOrder, BadRunConfig, UnknownSuite, ZetaForestError
+from .indices import Tuple_, all_indices, bumps, is_index, weight
 from .rationals import Rat
 from .series import DEFAULT_ORDER, TSeries
 from .symmetrize import phi, phi_hat
@@ -114,22 +114,29 @@ def _diff(lhs, rhs) -> Optional[str]:
 # identity builders (the right-hand sides of the checked equalities)
 
 
+def _unskipped(ks: Tuple_, order: int) -> HElem:
+    """(z_{k_1} sh ... sh z_{k_r}) x^{k_{r+1}}, where both BTT sides start."""
+    if not ks:
+        raise BadIndex("the skip-one identity needs an index of depth >= 1")
+    if order < 1:
+        raise BadOrder(f"t-order must be >= 1, got {order}")
+    return right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1])
+
+
 def t_btt_lhs(ks: Tuple_, order: int) -> TSeries:
     """phi_hat of (z_{k_1} sh ... sh z_{k_r}) x^{k_{r+1}}."""
-    return phi_hat(right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1]), order)
+    return phi_hat(_unskipped(ks, order), order)
 
 
 def t_btt_rhs(ks: Tuple_, order: int) -> TSeries:
     """Signed sum over skipped positions i: z_{k_i} moves into the x power,
-    and (k_i, k_{r+1}) take every bump l with weight b((k_i, k_{r+1}); l)."""
+    and (k_i, k_{r+1}) take every term of their t-adic expansion `bumps`."""
     rows: list[dict] = [{} for _ in range(order)]
-    right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1]).add_into(rows[0])
+    _unskipped(ks, order).add_into(rows[0])
     for i in range(len(ks) - 1):
-        sign = -1 if (ks[i] + ks[-1]) % 2 else 1
         others = [_z(k) for k in ks[:i] + ks[i + 1 : -1]]
-        for (l, lp), b in bumps((ks[i], ks[-1]), order - 1):
-            term = right_mul_x_pow(shuffle_all(others + [_z(ks[-1] + lp)]), ks[i] + l)
-            term.add_into(rows[l + lp], sign * b)
+        for (ki, kr), d, c in bumps((ks[i], ks[-1]), order):
+            right_mul_x_pow(shuffle_all(others + [_z(kr)]), ki).add_into(rows[d], c)
     return TSeries(map(HElem._wrap, rows), order)
 
 
@@ -148,12 +155,11 @@ def kaneko_lhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
 
 
 def kaneko_rhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
-    sign = -1 if weight(l) % 2 else 1
     rows: list[dict] = [{} for _ in range(order)]
-    for lp, b in bumps(l, order - 1):
-        word = HElem.from_index(k + tuple_reverse(tuple_add(l, lp)))
-        for row, image in zip(rows[sum(lp) :], phi_hat(word, order).coeffs):
-            image.add_into(row, sign * b)
+    for bumped, d, c in bumps(l, order):
+        word = HElem.from_index(k + bumped[::-1])
+        for row, image in zip(rows[d:], phi_hat(word, order).coeffs):
+            image.add_into(row, c)
     return TSeries(map(HElem._wrap, rows), order)
 
 

@@ -41,14 +41,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateBase, NegativeEdgeIndex, NotATree, NotConnected, UnknownVertex
 from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
-from .symmetrize import phi_hat
-from .trees import Tree, orient
 from .words import HElem, z_decompose
+
+if TYPE_CHECKING:
+    from .trees import Tree
 
 
 @lru_cache(maxsize=4096)
@@ -84,7 +86,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
     """
     adj = t.adj
-    parent = orient(adj, top)
+    parent = t.parent_from(top)
     if len(parent) != len(adj):
         raise NotConnected(f"not all vertices are reachable from {top}")
     if len(t.edges) != len(adj) - 1:
@@ -121,9 +123,7 @@ def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     quot = [0] + [L // n for n in range(1, cap + 1)]
     if not flip:
         return (tuple(q**k for q in quot),)
-    sign = -1 if k % 2 else 1
-    return tuple(tuple(sign * b * q ** (k + l) for q in quot)
-                 for (l,), b in bumps((k,), order - 1))
+    return tuple(tuple(c * q**kl for q in quot) for (kl,), _, c in bumps((k,), order))
 
 
 def _product(a: list, b: list, order: int, cap: int, pointwise: bool = False) -> list:
@@ -211,4 +211,6 @@ def z_m_series(s: TSeries, M: int) -> TSeries:
 
 def z_shat(a: HElem, M: int, order: int) -> TSeries:
     """Evaluation of the symmetrized element: harmonic sums of phi_hat(a)."""
+    from .symmetrize import phi_hat  # the one oracle that needs the word map
+
     return z_m_series(phi_hat(a, order), M)

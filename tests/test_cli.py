@@ -285,7 +285,7 @@ NO_SUITES = {"zetaforest.verify", "zetaforest.catalog"}
 @pytest.mark.parametrize("argv, absent", [
     (["phi", "--index", "3,1"], WORDS_ONLY),
     (["phi-hat", "--index", "2", "--t-order", "3", "--json"], WORDS_ONLY),
-    (["zeta", "--index", "2,1", "-M", "5"], NO_SUITES),
+    (["zeta", "--index", "2,1", "-M", "5"], NO_SUITES | {"zetaforest.trees", "zetaforest.symmetrize"}),
     (["cap-phi", "--tree", "b(2:b(1:b()))", "--json"], NO_SUITES),
     (["zeta-tree", "--tree", "b(2:b(1:b()))", "-M", "4"], NO_SUITES),
     (["harvest", "--tree", "b(1:b(1:b(),1:b()))"], NO_SUITES),

@@ -1,20 +1,17 @@
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaforest.errors import BadIndex, DepthMismatch
-from zetaforest.indices import (
-    all_indices,
-    bumps,
-    positive_compositions,
-    tuple_add,
-    tuple_reverse,
-    weight,
-)
+from zetaforest.errors import BadIndex, BadOrder
+from zetaforest.indices import all_indices, bumps, positive_compositions, weight
 
-tuples = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+
+def _vectors(ks, got):
+    """The bump vectors l of `bumps(ks, ...)` output, from each ks + l."""
+    return [tuple(b - k for b, k in zip(bumped, ks)) for bumped, _, _ in got]
 
 
 def test_weight_depth():
@@ -22,73 +19,85 @@ def test_weight_depth():
     assert weight(()) == 0
 
 
-def test_reverse():
-    assert tuple_reverse((1, 2, 3)) == (3, 2, 1)
-    assert tuple_reverse(()) == ()
-    assert tuple_reverse((5,)) == (5,)
-
-
-def test_add():
-    assert tuple_add((2, 1), (0, 3)) == (2, 4)
-    assert tuple_add((4, 7), (0, 0)) == (4, 7)
-    with pytest.raises(DepthMismatch):
-        tuple_add((1, 2), (1, 2, 3))
-
-
 def test_bumps_count_positive_entries():
-    # with every k_i > 0 no weight vanishes: all C(d + cap, cap) vectors appear
+    # with every k_i > 0 no weight vanishes: all C(d + order - 1, d) vectors appear
     for d in range(5):
-        for cap in range(5):
-            got = list(bumps((1, 3, 2, 1)[:d], cap))
-            assert len(got) == comb(d + cap, cap)
-            assert all(sum(l) <= cap for l, _ in got)
-    assert list(bumps((), 3)) == [((), 1)]
-    assert list(bumps((1, 2), -1)) == []
+        for order in range(1, 6):
+            got = list(bumps((1, 3, 2, 1)[:d], order))
+            assert len(got) == comb(d + order - 1, d)
+            assert all(degree < order for _, degree, _ in got)
+    assert list(bumps((), 3)) == [((), 0, 1)]
+
+
+def test_bumps_rejects_order_below_one():
+    # once yielded nothing for a negative cap
+    for ks in ((), (1, 2)):
+        for order in (0, -1):
+            with pytest.raises(BadOrder):
+                next(bumps(ks, order))
 
 
 def test_bumps_rejects_negative_entries():
     for ks in ((-1,), (2, 0, -3)):
         with pytest.raises(BadIndex):
-            list(bumps(ks, 2))
+            list(bumps(ks, 3))
 
 
 def test_bumps_zero_entries_stay_unbumped():
-    assert list(bumps((0,), 3)) == [((0,), 1)]
-    got = list(bumps((0, 2, 0, 1), 2))
-    assert all(l[0] == 0 and l[2] == 0 for l, _ in got)
-    assert [l for l, _ in got] == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 0, 1), (0, 2, 0, 0)]
+    assert list(bumps((0,), 4)) == [((0,), 0, 1)]
+    got = list(bumps((0, 2, 0, 1), 3))
+    assert all(b[0] == 0 and b[2] == 0 for b, _, _ in got)
+    assert _vectors((0, 2, 0, 1), got) == [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 0, 1), (0, 2, 0, 0)]
 
 
-@given(st.lists(st.integers(0, 4), max_size=5).map(tuple), st.integers(0, 4))
-def test_bumps_weights_and_order(ks, cap):
-    got = list(bumps(ks, cap))
-    ls = [l for l, _ in got]
+@given(st.lists(st.integers(0, 4), max_size=5).map(tuple), st.integers(1, 5))
+def test_bumps_weights_and_order(ks, order):
+    got = list(bumps(ks, order))
+    ls = _vectors(ks, got)
     assert ls == sorted(ls)
     assert len(set(ls)) == len(ls)
-    for l, b in got:
-        assert b == prod(comb(k + e - 1, e) for k, e in zip(ks, l) if k) and b
+    for l, (_, degree, c) in zip(ls, got):
+        assert min(l, default=0) >= 0 and degree == sum(l) < order
+        assert c == (-1) ** sum(ks) * prod(comb(k + e - 1, e) for k, e in zip(ks, l) if k) and c
         assert all(e == 0 for k, e in zip(ks, l) if k == 0)
     # every vector over the positions with k_i > 0 appears
-    assert len(got) == comb(sum(1 for k in ks if k) + cap, cap)
+    assert len(got) == comb(sum(1 for k in ks if k) + order - 1, order - 1)
 
 
 def test_bumps_small_example():
-    assert list(bumps((2, 1), 2)) == [
-        ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), 2), ((1, 1), 2), ((2, 0), 3),
+    # wt(2, 1) is odd, so every weight is negative
+    assert list(bumps((2, 1), 3)) == [
+        ((2, 1), 0, -1), ((2, 2), 1, -1), ((2, 3), 2, -1),
+        ((3, 1), 1, -2), ((3, 2), 2, -2), ((4, 1), 2, -3),
     ]
+
+
+def _series_mul(f, g, order):
+    return [sum(f[i] * g[d - i] for i in range(d + 1)) for d in range(order)]
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), max_size=3), st.integers(1, 4))
+def test_bumps_is_the_expansion_of_the_poles(poles, order):
+    # prod_i (t - a_i)^-k_i by long division of power series, against the
+    # terms c * prod_i a_i^-(k_i + l_i) t^wt(l) that bumps yields
+    expected = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for a, k in poles:
+        inverse = [-Fraction(1, a) ** (d + 1) for d in range(order)]  # 1 / (t - a)
+        for _ in range(k):
+            expected = _series_mul(expected, inverse, order)
+    got = [Fraction(0)] * order
+    for bumped, degree, c in bumps(tuple(k for _, k in poles), order):
+        got[degree] += c * prod(Fraction(1, a) ** e for (a, _), e in zip(poles, bumped))
+    assert got == expected
 
 
 def test_bumps_deep_index():
     # the recursive enumerator it replaces raised RecursionError here
-    got = list(bumps((1,) * 1500, 1))
+    got = list(bumps((1,) * 1500, 2))
     assert len(got) == 1501
-    assert got[0] == ((0,) * 1500, 1) and got[-1] == ((1,) + (0,) * 1499, 1)
-    assert sum(1 for _ in bumps((2, 0) * 750, 1)) == 751
-
-
-@given(tuples)
-def test_reverse_involution(k):
-    assert tuple_reverse(tuple_reverse(k)) == k
+    assert got[0] == ((1,) * 1500, 0, 1) and got[-1] == ((2,) + (1,) * 1499, 1, 1)
+    assert sum(1 for _ in bumps((2, 0) * 750, 2)) == 751
 
 
 def test_positive_compositions():

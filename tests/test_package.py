@@ -95,6 +95,24 @@ def test_no_true_division():
     assert found == []
 
 
+def _mod_twos(module: ast.Module):
+    """Lines with a `% 2`."""
+    for node in ast.walk(module):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2):
+            yield node.lineno
+
+
+def test_expansion_sign_has_one_home():
+    # the sign (-1)^wt of the t-adic expansion comes from indices.bumps,
+    # which yields it with every term; no other module works it out
+    assert sorted(_mod_twos(ast.parse("a = b % 2\nc = d % 3\ne = (f + g) % 2"))) == [1, 3]
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py")) if path.name != "indices.py"
+             for line in _mod_twos(ast.parse(path.read_text()))]
+    assert found == []
+
+
 # defined in the package but named nowhere in it (outside __init__.py) or in
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {

@@ -4,20 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest import verify
 from zetaforest.catalog import random_tree
-from zetaforest.errors import UnknownSuite
+from zetaforest.errors import BadIndex, BadOrder, UnknownSuite
+from zetaforest.trees import harvestable_form, parse_tree
 from zetaforest.verify import (
     SUITE_NAMES,
     Case,
     RunConfig,
     _minimize,
+    btt_lhs,
+    btt_rhs,
     diagram_rhs,
     harvested_terms,
     main_lhs,
     main_rhs,
     root_change_rhs,
     run_suite,
+    t_btt_lhs,
+    t_btt_rhs,
 )
+from zetaforest.words import HElem
 from zetaforest.zeta import z_m_series
 
 CFG = RunConfig(t_order=3, m_max=5, weight_max=3, seed=0, count=25)
@@ -84,6 +91,58 @@ def test_minimizer_reduces_indices():
     key = mcase.key
     ks = eval(key.split("=")[1])
     assert sum(ks) == 4
+
+
+def _failed_keys(report) -> list:
+    """The minimized keys of a report's `FAIL key :: detail` lines."""
+    lines = [line for line in report.to_text().splitlines() if line.startswith("FAIL ")]
+    assert len(lines) == len(report.failures) > 0
+    return [line[len("FAIL "):].split(" :: ")[0] for line in lines]
+
+
+def test_btt_failure_is_minimized_to_weight_four(monkeypatch):
+    # a right-hand side wrong from weight 4 up: every failing index of depth
+    # 2..4 shrinks, through the suite's own rebuild, to one of weight 4
+    right = verify.btt_rhs
+    monkeypatch.setattr(verify, "btt_rhs",
+                        lambda ks: right(ks) + HElem.from_index((1,)) if sum(ks) >= 4 else right(ks))
+    report = run_suite("btt", RunConfig(weight_max=5))
+    keys = _failed_keys(report)
+    assert len(keys) == sum(1 for ks in verify.all_indices(5) if 3 <= len(ks) + 1 <= 5 and sum(ks) >= 4)
+    minimal = {tuple(map(int, key.removeprefix("index=").split(","))) for key in keys}
+    assert minimal == {ks for ks in verify.all_indices(4) if 2 <= len(ks) <= 4 and sum(ks) == 4}
+    assert all(f.detail.startswith("lhs=") and " rhs=" in f.detail for f in report.failures)
+
+
+def test_harvest_failure_is_minimized_to_four_vertices(monkeypatch):
+    # a harvestability check wrong from 4 vertices up: every failing catalog
+    # tree shrinks, lowering indices and dropping leaves, to a tree whose
+    # harvestable form has at least 4 vertices and none of whose shrinks fails
+    right = verify.is_harvestable
+    monkeypatch.setattr(verify, "is_harvestable", lambda t: right(t) and len(t.vertices) < 4)
+    report = run_suite("harvest", RunConfig(t_order=2, m_max=2))
+    keys = _failed_keys(report)
+    for key, failure in zip(keys, report.failures):
+        t = parse_tree(key.removeprefix("tree="))
+        form = harvestable_form(t)
+        assert failure.detail == f"harvestable form is not harvestable: {form.key}"
+        assert len(form.vertices) >= 4
+        smaller = verify._tree_shrinks(t, lambda t2: t2 if t2.root in t2.black else None)
+        assert all(len(harvestable_form(t2).vertices) < 4 for t2 in smaller)
+    assert set(keys) == {"tree=b(0:w(0:w(1:b()),1:b()))", "tree=b(0:w(1:b(),1:b()))",
+                         "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"}
+
+
+def test_skip_one_builders_reject_bad_input():
+    # these raised IndexError from rows[0] or ks[-1]
+    for build in (t_btt_lhs, t_btt_rhs):
+        with pytest.raises(BadOrder):
+            build((1, 1), 0)
+        with pytest.raises(BadIndex):
+            build((), 2)
+    for build in (btt_lhs, btt_rhs):
+        with pytest.raises(BadIndex):
+            build(())
 
 
 def test_seed_changes_random_cases():
