@@ -108,7 +108,7 @@ def test_btt_failure_is_minimized_to_weight_four(monkeypatch):
                         lambda ks: right(ks) + HElem.from_index((1,)) if sum(ks) >= 4 else right(ks))
     report = run_suite("btt", RunConfig(weight_max=5))
     keys = _failed_keys(report)
-    assert len(keys) == sum(1 for ks in verify.all_indices(5) if 3 <= len(ks) + 1 <= 5 and sum(ks) >= 4)
+    assert len(keys) == sum(1 for ks in verify.all_indices(5) if 2 <= len(ks) <= 4 and sum(ks) >= 4)
     minimal = {tuple(map(int, key.removeprefix("index=").split(","))) for key in keys}
     assert minimal == {ks for ks in verify.all_indices(4) if 2 <= len(ks) <= 4 and sum(ks) == 4}
     assert all(f.detail.startswith("lhs=") and " rhs=" in f.detail for f in report.failures)
