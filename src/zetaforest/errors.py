@@ -54,10 +54,6 @@ class NotHarvestable(ZetaForestError):
     pass
 
 
-class DegenerateBase(ZetaForestError):
-    """A positive-index edge factor has base 0 (cannot happen for valid input)."""
-
-
 class BadOrder(ZetaForestError, ValueError):
     """A truncated series or t-adic map asked for a t-order below 1."""
 

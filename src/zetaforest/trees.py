@@ -13,7 +13,8 @@ rendered sorted by (edge index, child encoding), so two trees are isomorphic
 
 Every terminal vertex must be black; a vertex of degree <= 1 counts as a
 terminal, so the single-vertex tree must be black (it is the unit of the
-glue-at-the-roots product).
+glue-at-the-roots product).  `Tree.build` checks all of this, so a tree is
+valid once it exists and no operation on it checks its structure again.
 
 The tree-level symmetrization re-roots its input at every black vertex with
 bumped path indices.  Its terms' keys come from one canonical walk of the
@@ -69,6 +70,9 @@ class Tree:
     """A tree: its root, its black and its white vertex ids, and its edges
     (u, v, k) with index k, which `build` orders as u < v and sorts.
 
+    `build` is the public constructor, and it validates.  The positional one
+    is internal, for trees derived from a valid tree, valid by construction.
+
     Immutable, equal and hashed by those four fields.  A plain class, not a
     dataclass, so that loading it does not load `dataclasses` and `inspect`;
     its `__dict__` holds the fields and what the cached properties compute.
@@ -96,8 +100,19 @@ class Tree:
     @classmethod
     def build(cls, root: int, black: Iterable[int], white: Iterable[int],
               edges: Iterable[tuple[int, int, int]]) -> "Tree":
+        """The tree with these fields, edges ordered and sorted; raises the
+        `InvalidTree` or `UnknownVertex` error of `validate` if it is not a
+        valid 2-colored rooted tree."""
+        t = cls._unchecked(root, black, white, edges)
+        t.validate()
+        return t
+
+    @classmethod
+    def _unchecked(cls, root: int, black: Iterable[int], white: Iterable[int],
+                   edges: Iterable[tuple[int, int, int]]) -> "Tree":
+        """`build` without `validate`, for trees valid by construction."""
         es = tuple(sorted((min(u, v), max(u, v), k) for u, v, k in edges))
-        return cls(root=root, black=frozenset(black), white=frozenset(white), edges=es)
+        return cls(root, frozenset(black), frozenset(white), es)
 
     @cached_property
     def vertices(self) -> frozenset:
@@ -106,12 +121,9 @@ class Tree:
     @cached_property
     def adj(self) -> dict:
         a: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        try:
-            for u, v, k in self.edges:
-                a[u][v] = k
-                a[v][u] = k
-        except KeyError:
-            raise UnknownVertex(f"edge {u}-{v} uses an unknown vertex") from None
+        for u, v, k in self.edges:
+            a[u][v] = k
+            a[v][u] = k
         return a
 
     @cached_property
@@ -171,8 +183,9 @@ class Tree:
             raise NotATree(f"{len(verts)} vertices but {len(self.edges)} edges")
         if len(self.parent) != len(verts):
             raise NotConnected("not all vertices are reachable from the root")
-        for v in verts:
-            if self.degree(v) <= 1 and v not in self.black:
+        adj = self.adj
+        for v in sorted(self.white):
+            if len(adj[v]) <= 1:
                 raise TerminalNotBlack(f"terminal vertex {v} is white")
 
     def root_path(self, v: int) -> list:
@@ -180,8 +193,6 @@ class Tree:
         if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the tree")
         par = self.parent
-        if v not in par:
-            raise NotConnected(f"vertex {v} is not reachable from the root")
         path = [v]
         while par[path[-1]] is not None:
             path.append(par[path[-1]])
@@ -255,7 +266,7 @@ def circ_product(a: Tree, b: Tree) -> Tree:
     black = set(a.black) | {m(v) for v in b.black}
     white = set(a.white) | {m(v) for v in b.white}
     edges = list(a.edges) + [(m(u), m(v), k) for u, v, k in b.edges]
-    return Tree.build(a.root, black, white, edges)
+    return Tree._unchecked(a.root, black, white, edges)
 
 
 def is_harvestable(t: Tree) -> bool:
@@ -296,19 +307,14 @@ def harvestable_form(t: Tree) -> Tree:
        white vertex joined to it by a 0-edge.  Fresh ids count up from the
        largest id of `t` plus one.
 
-    A white vertex of degree <= 1 in `t` is a white terminal and raises
-    `TerminalNotBlack` up front; in a tree without one, every contracted
-    white block keeps degree >= 2.  Each step is one pass; the whole costs
-    O(V log V).
+    A valid tree has no white terminal, so every contracted white block
+    keeps degree >= 2.  Each step is one pass; the whole costs O(V log V).
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
     block = _zero_blocks(t)
     if block is None:
         raise NotEssentiallyPositive(t.key)
-    for v in sorted(t.white):
-        if t.degree(v) <= 1:
-            raise TerminalNotBlack(f"terminal vertex {v} is white")
     adj: dict[int, dict[int, int]] = {v: {} for v in block.values()}
     for u, v, k in t.edges:
         if k:
@@ -326,7 +332,7 @@ def harvestable_form(t: Tree) -> Tree:
     fresh = {v: top + 1 + i for i, v in enumerate(hoisted)}
     edges = [(fresh.get(p, p), v, adj[v][p]) for v, p in orient(adj, root).items() if p is not None]
     edges += [(v, w, 0) for v, w in fresh.items()]
-    return Tree.build(root, adj.keys() & t.black, (adj.keys() - t.black) | set(fresh.values()), edges)
+    return Tree._unchecked(root, adj.keys() & t.black, (adj.keys() - t.black) | set(fresh.values()), edges)
 
 
 def circ_h(a: Tree, b: Tree) -> Tree:
@@ -455,7 +461,7 @@ def cap_phi(t: Tree) -> TreeCombo:
 
 
 def parse_tree(s: str) -> Tree:
-    """Parse the tree DSL; the resulting tree is validated.
+    """Parse the tree DSL into a validated tree.
 
     One left-to-right scan with an explicit stack of open vertices, so the
     nesting depth is not bounded by the recursion limit.  Vertex ids count
@@ -525,9 +531,7 @@ def parse_tree(s: str) -> Tree:
     skip()
     if pos != n:
         raise TreeSyntaxError("unexpected trailing input", pos)
-    t = Tree.build(0, black, white, edges)
-    t.validate()
-    return t
+    return Tree.build(0, black, white, edges)
 
 
 def tree_to_json(t: Tree) -> dict:

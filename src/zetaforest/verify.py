@@ -1,9 +1,9 @@
 """Verification suites: machine checks of the algebraic identities.
 
 Each suite enumerates a deterministic case list (seeded where random), checks
-an exact equality per case, and reports failures with a minimized
-counterexample: indices are reduced componentwise first, then vertices are
-dropped, as long as the failure persists.
+an exact equality per case, and reports each failure's minimized
+counterexample once: indices are reduced componentwise first, then vertices
+are dropped, as long as the failure persists.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def _diff(lhs, rhs) -> Optional[str]:
 
 def _unskipped(ks: Tuple_, order: int) -> HElem:
     """(z_{k_1} sh ... sh z_{k_r}) x^{k_{r+1}}, where both BTT sides start."""
-    if not ks:
-        raise BadIndex("the skip-one identity needs an index of depth >= 1")
+    if len(ks) < 2:
+        raise BadIndex(f"the skip-one identity needs an index of depth >= 2, got {ks}")
     if order < 1:
         raise BadOrder(f"t-order must be >= 1, got {order}")
     return right_mul_x_pow(shuffle_all(_z(k) for k in ks[:-1]), ks[-1])
@@ -236,9 +236,8 @@ def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
         if leaf == t.root or t.degree(leaf) != 1:
             continue
         edges = [e for e in t.edges if leaf not in (e[0], e[1])]
-        t2 = Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges)
         try:
-            t2.validate()
+            t2 = Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges)
         except ZetaForestError:
             continue
         if is_essentially_positive(t2):
@@ -529,7 +528,7 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
         gen = _SUITES[name]
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    failures = []
+    failures: dict[str, Failure] = {}  # one per distinct minimized case
     count = 0
     for case in gen(cfg):
         if case is None:
@@ -538,6 +537,6 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
         detail = case.check()
         if detail is not None:
             mcase, mdetail = _minimize(case, detail)
-            failures.append(Failure(mcase.key, mdetail))
-    failures.sort(key=lambda f: f.case)
-    return Report(suite=name, config=asdict(cfg), cases=count, failures=failures)
+            failures.setdefault(mcase.key, Failure(mcase.key, mdetail))
+    return Report(suite=name, config=asdict(cfg), cases=count,
+                  failures=[failures[k] for k in sorted(failures)])

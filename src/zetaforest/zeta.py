@@ -43,7 +43,7 @@ from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateBase, NegativeEdgeIndex, NotATree, NotConnected, UnknownVertex
+from .errors import UnknownVertex
 from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
@@ -84,13 +84,12 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     outside `free` has value 0.  The edge above a vertex c (seen from `top`)
     contributes (total below c)^-k, or (-(total below c) + t)^-k if c is in
     `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
+
+    No base is 0: the far side of every edge holds a leaf other than `top`,
+    and the leaves of a valid tree are black, so its total is at least 1.
     """
     adj = t.adj
     parent = t.parent_from(top)
-    if len(parent) != len(adj):
-        raise NotConnected(f"not all vertices are reachable from {top}")
-    if len(t.edges) != len(adj) - 1:
-        raise NotATree(f"{len(adj)} vertices but {len(t.edges)} edges")
     vectors: dict[int, list] = {}
     for v in reversed(parent):
         rows = None
@@ -99,8 +98,6 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
                 continue
             child = vectors.pop(w)
             if k:
-                if any(r[0] for r in child):
-                    raise DegenerateBase(f"zero base on an edge of {t.key}")
                 factors = _edge_factors(k, w in flipped, L, cap, order)
                 child = _product(child, factors, order, cap, pointwise=True)
             rows = child if rows is None else _product(rows, child, order, cap)
@@ -118,8 +115,6 @@ def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
     n = 0..cap, as numerators over L^(k+l); entry 0 is unused.  Rows are
     tuples because every walk with the same L, cap and order shares them."""
-    if k < 0:
-        raise NegativeEdgeIndex(f"edge index {k}")
     quot = [0] + [L // n for n in range(1, cap + 1)]
     if not flip:
         return (tuple(q**k for q in quot),)

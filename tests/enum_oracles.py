@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
-from zetaforest.errors import DegenerateBase, UnknownVertex
+from zetaforest.errors import UnknownVertex
 from zetaforest.indices import Tuple_, positive_compositions
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
@@ -117,8 +117,7 @@ def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
             base = sum(m[i] for i in idxs)
             if has_u:
                 base += m_u
-                if base == 0:
-                    raise DegenerateBase(f"zero base on an edge of {t.key}")
+                assert base != 0, f"zero base on an edge of {t.key}"  # leaves are black
                 expansion = _neg_power_coeffs(Rat(base), k, order)
                 if series is None:
                     series = expansion

@@ -113,6 +113,30 @@ def test_expansion_sign_has_one_home():
     assert found == []
 
 
+def _raised_names(module: ast.Module):
+    """(line, name) of every `raise Name(...)` or `raise Name`."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield node.lineno, exc.id
+
+
+def test_tree_validity_has_one_home():
+    # Tree.build validates, so a tree is valid once it exists and no other
+    # module checks its structure again
+    from zetaforest import errors
+
+    invalid = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.InvalidTree)}
+    assert invalid == {"InvalidTree", "NotConnected", "NotATree", "NegativeEdgeIndex", "TerminalNotBlack"}
+    assert list(_raised_names(ast.parse("raise A('x')\nraise B\nraise"))) == [(1, "A"), (2, "B")]
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py")) if path.name != "trees.py"
+             for line, name in _raised_names(ast.parse(path.read_text())) if name in invalid]
+    assert found == []
+
+
 # defined in the package but named nowhere in it (outside __init__.py) or in
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {

@@ -119,7 +119,7 @@ def test_key_distinguishes_colors_roots_indices():
     assert s.key != all_black.key
 
 
-# --- validate ----------------------------------------------------------------
+# --- validate: Tree.build rejects every invalid structure ---------------------
 
 
 def test_validate_catalog_ok():
@@ -128,25 +128,21 @@ def test_validate_catalog_ok():
 
 
 def test_validate_white_leaf():
-    t = Tree.build(0, [0], [1], [(0, 1, 1)])
     with pytest.raises(TerminalNotBlack):
-        t.validate()
+        Tree.build(0, [0], [1], [(0, 1, 1)])
 
 
 def test_validate_disconnected():
     # right vertex/edge count, but one component is a cycle and one is isolated
-    t = Tree.build(0, [0, 1, 2, 3], [], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(NotConnected):
-        t.validate()
-    short = Tree.build(0, [0, 1, 2], [], [(0, 1, 1)])
+        Tree.build(0, [0, 1, 2, 3], [], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(NotATree):
-        short.validate()
+        Tree.build(0, [0, 1, 2], [], [(0, 1, 1)])
 
 
 def test_validate_single_white_vertex():
-    t = Tree.build(0, [], [0], [])
     with pytest.raises(TerminalNotBlack):
-        t.validate()
+        Tree.build(0, [], [0], [])
 
 
 # --- paths and essential positivity ------------------------------------------
@@ -171,19 +167,18 @@ def test_root_path_star():
 
 
 def test_root_path_of_an_unreachable_vertex():
-    # an unvalidated tree whose vertex 1 hangs off no path to the root
-    t = Tree.build(0, [0, 1, 2], [], [(1, 2, 1)])
+    # vertex 1 hangs off no path to the root; with one edge too few, the
+    # edge count is checked first
+    with pytest.raises(NotATree):
+        Tree.build(0, [0, 1, 2], [], [(1, 2, 1)])
     with pytest.raises(NotConnected):
-        t.root_path(1)
+        Tree.build(0, [0, 1, 2, 3], [], [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
 
 
 def test_edge_endpoint_without_a_color():
     # vertex 5 is in neither color set: no silent white vertex
-    t = Tree.build(0, [0], [], [(0, 5, 1)])
     with pytest.raises(UnknownVertex):
-        t.adj
-    with pytest.raises(UnknownVertex):
-        t.key
+        Tree.build(0, [0], [], [(0, 5, 1)])
 
 
 def test_tree_is_an_immutable_value():
@@ -307,24 +302,27 @@ def test_harvestable_form_requires_essential_positivity():
 
 
 def test_harvestable_form_rejects_white_terminal():
-    # unvalidated trees: a white leaf on a positive edge, a white block of
+    # no tree reaches it: a white leaf on a positive edge, a white block of
     # 0-edges hanging from one positive edge, and a white leaf on a 0-edge
-    for t in (
-        Tree.build(0, [0], [1], [(0, 1, 1)]),
-        Tree.build(0, [0, 2], [1, 3, 4], [(0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 0)]),
-        Tree.build(0, [0], [1], [(0, 1, 0)]),
+    for fields in (
+        (0, [0], [1], [(0, 1, 1)]),
+        (0, [0, 2], [1, 3, 4], [(0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 0)]),
+        (0, [0], [1], [(0, 1, 0)]),
     ):
         with pytest.raises(TerminalNotBlack):
-            harvestable_form(t)
+            Tree.build(*fields)
 
 
 def test_harvestable_form_output_always_harvestable():
+    # the trees the library derives from valid trees without validating them
     rng = random.Random(11)
     for _ in range(150):
         t = random_tree(rng, 7, 2)
         hf = harvestable_form(t)
         assert is_harvestable(hf), (t.key, hf.key)
-        hf.validate()
+        for derived in (hf, circ_product(hf, hf), circ_h(hf, hf),
+                        *(t.change_root(v) for v in sorted(t.vertices))):
+            derived.validate()
 
 
 def test_harvestable_form_idempotent_on_image():

@@ -102,13 +102,14 @@ def _failed_keys(report) -> list:
 
 def test_btt_failure_is_minimized_to_weight_four(monkeypatch):
     # a right-hand side wrong from weight 4 up: every failing index of depth
-    # 2..4 shrinks, through the suite's own rebuild, to one of weight 4
+    # 2..4 shrinks, through the suite's own rebuild, to one of weight 4, and
+    # each of those is reported once
     right = verify.btt_rhs
     monkeypatch.setattr(verify, "btt_rhs",
                         lambda ks: right(ks) + HElem.from_index((1,)) if sum(ks) >= 4 else right(ks))
     report = run_suite("btt", RunConfig(weight_max=5))
     keys = _failed_keys(report)
-    assert len(keys) == sum(1 for ks in verify.all_indices(5) if 2 <= len(ks) <= 4 and sum(ks) >= 4)
+    assert len(set(keys)) == len(keys)
     minimal = {tuple(map(int, key.removeprefix("index=").split(","))) for key in keys}
     assert minimal == {ks for ks in verify.all_indices(4) if 2 <= len(ks) <= 4 and sum(ks) == 4}
     assert all(f.detail.startswith("lhs=") and " rhs=" in f.detail for f in report.failures)
@@ -129,20 +130,23 @@ def test_harvest_failure_is_minimized_to_four_vertices(monkeypatch):
         assert len(form.vertices) >= 4
         smaller = verify._tree_shrinks(t, lambda t2: t2 if t2.root in t2.black else None)
         assert all(len(harvestable_form(t2).vertices) < 4 for t2 in smaller)
-    assert set(keys) == {"tree=b(0:w(0:w(1:b()),1:b()))", "tree=b(0:w(1:b(),1:b()))",
-                         "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"}
+    assert keys == ["tree=b(0:w(0:w(1:b()),1:b()))", "tree=b(0:w(1:b(),1:b()))",
+                    "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"]
 
 
 def test_skip_one_builders_reject_bad_input():
-    # these raised IndexError from rows[0] or ks[-1]
+    # the empty index raised IndexError from rows[0] or ks[-1]; the depth-1
+    # index gave a right-hand side outside the y-initial subspace
     for build in (t_btt_lhs, t_btt_rhs):
         with pytest.raises(BadOrder):
             build((1, 1), 0)
-        with pytest.raises(BadIndex):
-            build((), 2)
+        for ks in ((), (2,)):
+            with pytest.raises(BadIndex):
+                build(ks, 2)
     for build in (btt_lhs, btt_rhs):
-        with pytest.raises(BadIndex):
-            build(())
+        for ks in ((), (2,)):
+            with pytest.raises(BadIndex):
+                build(ks)
 
 
 def test_seed_changes_random_cases():

@@ -16,7 +16,6 @@ from zetaforest.catalog import (
 )
 from zetaforest.errors import (
     BadIndex,
-    DegenerateBase,
     NegativeEdgeIndex,
     NotATree,
     NotConnected,
@@ -200,38 +199,23 @@ def test_deep_chain_does_not_recurse():
 
 
 def test_broken_structure_is_rejected():
-    # unvalidated trees whose structure is not a tree fail in O(1) checks
+    # no oracle sees a structure that is not a tree: Tree.build rejects it
     broken = [
-        (Tree.build(0, [0, 1, 2], [], [(1, 2, 1)]), NotConnected),
-        (Tree.build(0, [0, 1, 2], [], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), NotATree),
-        (Tree.build(0, [0, 1], [], [(0, 1, -1)]), NegativeEdgeIndex),
-        (Tree.build(9, [0], [], []), UnknownVertex),
+        ((0, [0, 1, 2], [], [(1, 2, 1)]), NotATree),
+        ((0, [0, 1, 2, 3], [], [(1, 2, 1), (2, 3, 1), (1, 3, 1)]), NotConnected),
+        ((0, [0, 1, 2], [], [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), NotATree),
+        ((0, [0, 1], [], [(0, 1, -1)]), NegativeEdgeIndex),
+        ((9, [0], [], []), UnknownVertex),
     ]
-    for t, error in broken:
+    for fields, error in broken:
         with pytest.raises(error):
-            zeta_tree(t, 3)
-        with pytest.raises(error):
-            zeta_shat_tree(t, 3, 2)
-    with pytest.raises(UnknownVertex):
-        broken[-1][0].key
+            Tree.build(*fields)
 
 
 def test_unvalidated_trees_raise_the_structural_error():
-    # u = 1 is not reachable from the root: its flipped path cannot be walked
-    with pytest.raises(NotConnected):
-        zeta_tree_u(Tree.build(0, [0, 1, 2], [], [(1, 2, 1)]), 1, 3, 2)
+    # u = 1 would not be reachable from the root; the edge count fails first
+    with pytest.raises(NotATree):
+        Tree.build(0, [0, 1, 2], [], [(1, 2, 1)])
     # vertex 5 has no color; it is not taken for a white terminal
     with pytest.raises(UnknownVertex):
-        zeta_tree(Tree.build(0, [0], [], [(0, 5, 1)]), 3)
-
-
-def test_zero_base_raises_degenerate_base():
-    # white terminals are invalid, and leave an edge with no black beyond it
-    white_root = Tree.build(0, [1, 2], [0], [(0, 1, 1), (1, 2, 1)])
-    with pytest.raises(DegenerateBase):
-        enum_oracles.zeta_tree_u(white_root, 2, 3, 3)
-    with pytest.raises(DegenerateBase):
-        zeta_tree_u(white_root, 2, 3, 3)
-    white_leaf = Tree.build(0, [0], [1], [(0, 1, 1)])
-    with pytest.raises(DegenerateBase):
-        zeta_tree(white_leaf, 2)
+        Tree.build(0, [0], [], [(0, 5, 1)])
