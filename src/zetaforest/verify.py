@@ -19,7 +19,7 @@ from .catalog import (
     symmetric_hybrid_tree,
     unit_tree,
 )
-from .errors import BadIndex, BadOrder, BadRunConfig, UnknownSuite, ZetaForestError
+from .errors import BadIndex, BadOrder, BadRunConfig, InvalidTree, UnknownSuite
 from .indices import Tuple_, all_indices, bumps, is_index, weight
 from .rationals import Rat
 from .series import DEFAULT_ORDER, TSeries
@@ -238,7 +238,7 @@ def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
         edges = [e for e in t.edges if leaf not in (e[0], e[1])]
         try:
             t2 = Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges)
-        except ZetaForestError:
+        except InvalidTree:  # dropping a leaf can leave a white terminal
             continue
         if is_essentially_positive(t2):
             c = rebuild(t2)
