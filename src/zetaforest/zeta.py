@@ -24,7 +24,9 @@ once at the end.
   holds a vector indexed by the total n = 0..M of the black values in its
   subtree.  An edge scales entry n by (L // n)^k, siblings combine by
   convolution, and a black vertex takes a shifted prefix sum because its own
-  value is at least 1.  It costs O(V*M^2).
+  value is at least 1.  A black leaf's vector [0, 1, ..., 1] would leave the
+  edge factors unchanged, so the edge above it takes its factor rows as they
+  are.  It costs O(V*M^2).
 * ``zeta_tree_u`` is the same walk re-rooted at u, where each edge's base is
   the total of the side away from u.  That base is negated and shifted by t
   on the edges of the old root-to-u path, so vector entries there are
@@ -85,23 +87,35 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     contributes (total below c)^-k, or (-(total below c) + t)^-k if c is in
     `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
 
+    A black leaf other than `top` gets no vector of its own: its vector
+    [0, 1, ..., 1] times the edge factor rows is those rows, since their
+    entry 0 is 0.  So the vector above it is the shared ``_edge_factors``
+    rows themselves, or the one row [0, 1, ..., 1] under a 0-edge, and no
+    vector is changed in place.
+
     No base is 0: the far side of every edge holds a leaf other than `top`,
     and the leaves of a valid tree are black, so its total is at least 1.
     """
     adj = t.adj
     parent = t.parent_from(top)
-    vectors: dict[int, list] = {}
+    vectors: dict[int, list | None] = {}
     for v in reversed(parent):
         rows = None
         for w, k in adj[v].items():
             if w == parent[v]:
                 continue
             child = vectors.pop(w)
-            if k:
+            if child is None:
+                # a black leaf: [0, 1, ..., 1] times the edge factor is the factor
+                child = _edge_factors(k, w in flipped, L, cap, order) if k else [[0] + [1] * cap]
+            elif k:
                 factors = _edge_factors(k, w in flipped, L, cap, order)
                 child = _product(child, factors, order, cap, pointwise=True)
             rows = child if rows is None else _product(rows, child, order, cap)
         if rows is None:
+            if v in free and v != top:
+                vectors[v] = None  # a black leaf; the edge above builds its vector
+                continue
             rows = [[1] + [0] * cap]
         if v in free:
             # m_v >= 1: entry n collects the entries below n
@@ -113,8 +127,9 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
 @lru_cache(maxsize=4096)
 def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
-    n = 0..cap, as numerators over L^(k+l); entry 0 is unused.  Rows are
-    tuples because every walk with the same L, cap and order shares them."""
+    n = 0..cap, as numerators over L^(k+l).  Entry 0 is 0, so these rows
+    are also a black leaf's vector times the factor.  Rows are tuples
+    because every walk with the same L, cap and order shares them."""
     quot = [0] + [L // n for n in range(1, cap + 1)]
     if not flip:
         return (tuple(q**k for q in quot),)
@@ -125,23 +140,28 @@ def _product(a: list, b: list, order: int, cap: int, pointwise: bool = False) ->
     """Cauchy product over t-degree of two row lists, truncated at `order`.
 
     Rows multiply entrywise if `pointwise`, else by convolution over the
-    total, truncated at `cap`.
+    total, truncated at `cap`.  Each output row is built whole, from the
+    pairs of rows whose degrees add up to its own.
     """
-    out = [[0] * (cap + 1) for _ in range(min(order, len(a) + len(b) - 1))]
-    for i, ra in enumerate(a):
-        for j, rb in enumerate(b[: len(out) - i]):
-            acc = out[i + j]
-            if pointwise:
-                for n, (x, y) in enumerate(zip(ra, rb)):
-                    acc[n] += x * y
-                continue
-            nonzero = [(n, y) for n, y in enumerate(rb) if y]
-            for m, x in enumerate(ra):
-                if x:
-                    for n, y in nonzero:
-                        if m + n > cap:
-                            break
-                        acc[m + n] += x * y
+    if not pointwise:
+        b = [[(n, y) for n, y in enumerate(rb) if y] for rb in b]
+    out = []
+    for d in range(min(order, len(a) + len(b) - 1)):
+        pairs = [(a[i], b[d - i]) for i in range(max(0, d - len(b) + 1), min(d + 1, len(a)))]
+        if pointwise:
+            row = [x * y for x, y in zip(*pairs[0])]
+            for ra, rb in pairs[1:]:
+                row = [s + x * y for s, x, y in zip(row, ra, rb)]
+        else:
+            row = [0] * (cap + 1)
+            for ra, nonzero in pairs:
+                for m, x in enumerate(ra):
+                    if x:
+                        for n, y in nonzero:
+                            if m + n > cap:
+                                break
+                            row[m + n] += x * y
+        out.append(row)
     return out
 
 

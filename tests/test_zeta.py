@@ -25,9 +25,10 @@ from zetaforest.errors import (
 from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
 from zetaforest.series import rat_series
-from zetaforest.trees import Tree
+from zetaforest.trees import Tree, parse_tree
 from zetaforest.words import HElem, harmonic
 from zetaforest.zeta import (
+    _product,
     z_m_eval,
     z_shat,
     zeta_index,
@@ -190,12 +191,72 @@ def test_oracles_match_enumeration_on_random_trees(seed, M):
     assert_matches_enumeration(t, M)
 
 
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_oracles_match_enumeration_at_each_t_order(order):
+    rng = random.Random(order)
+    trees = builtin_catalog() + harvestable_catalog()
+    trees += [random_tree(rng, max_vertices=7, k_cap=3) for _ in range(20)]
+    for t in trees:
+        for M in range(0, 7):
+            assert_matches_enumeration(t, M, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_black_leaf_shapes_match_enumeration(order):
+    # a black leaf's vector is its edge's factor rows, or one row under a 0-edge
+    shapes = [
+        unit_tree(),
+        parse_tree("b(1:w(0:b(),1:b()))"),  # a black leaf under a 0-edge
+        parse_tree("b(0:b(),1:b(),1:b(),2:b())"),  # a star of black leaves
+        star_tree(1, (0, 1, 2, 3)),
+        parse_tree("b(2:b())"),  # the old root is a leaf, under a flipped edge
+    ]
+    for t in shapes:
+        for M in range(0, 8):
+            assert_matches_enumeration(t, M, order)
+
+
+def naive_product(a, b, order, cap, pointwise):
+    """Cauchy product over t-degree, one term at a time."""
+    out = [[0] * (cap + 1) for _ in range(min(order, len(a) + len(b) - 1))]
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            if i + j >= order:
+                continue
+            for m, x in enumerate(ra):
+                for n, y in enumerate(rb):
+                    if (m == n) if pointwise else (m + n <= cap):
+                        out[i + j][m if pointwise else m + n] += x * y
+    return out
+
+
+def test_product_matches_naive_cauchy_and_convolution():
+    rng = random.Random(7)
+
+    def rows(count, cap):
+        # sparse rows, some of them all zero
+        return [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cap + 1)]
+                for _ in range(count)]
+
+    for _ in range(400):
+        cap, order = rng.randint(0, 6), rng.randint(1, 5)
+        a, b = rows(rng.randint(1, 5), cap), rows(rng.randint(1, 5), cap)
+        if rng.random() < 0.2:
+            a[0] = [0] * (cap + 1)
+        for pointwise in (True, False):
+            expected = naive_product(a, b, order, cap, pointwise)
+            assert _product(a, b, order, cap, pointwise) == expected, (a, b, order, cap)
+
+
 def test_deep_chain_does_not_recurse():
     chain = linear_tree(*[1] * 1500)
     leaf = max(chain.vertices)
     assert zeta_tree(chain, 3) == 0
     assert zeta_tree_u(chain, chain.root, 3, 3) == rat_series([0, 0, 0], 3)
     assert zeta_tree_u(chain, leaf, 3, 3) == rat_series([0, 0, 0], 3)
+    # at t-order 4 the far leaf, then the old root, is a black leaf of the walk
+    assert zeta_tree_u(chain, chain.root, 3, 4) == rat_series([0, 0, 0, 0], 4)
+    assert zeta_tree_u(chain, leaf, 3, 4) == rat_series([0, 0, 0, 0], 4)
 
 
 def test_broken_structure_is_rejected():
