@@ -105,8 +105,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
             if w == parent[v]:
                 continue
             child = vectors.pop(w)
-            if child is None:
-                # a black leaf: [0, 1, ..., 1] times the edge factor is the factor
+            if child is None:  # a black leaf
                 child = _edge_factors(k, w in flipped, L, cap, order) if k else [[0] + [1] * cap]
             elif k:
                 factors = _edge_factors(k, w in flipped, L, cap, order)
@@ -171,7 +170,7 @@ def _index_weight(t: Tree) -> int:
 
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
-    if M < 0:
+    if M < len(t.black):  # no such tuple
         return Rat(0)
     L = lcm(*range(1, M + 1))
     rows = _tree_rows(t, t.root, t.black, frozenset(), M, L, 1)
@@ -198,7 +197,8 @@ def zeta_shat_tree(t: Tree, M: int, order: int) -> TSeries:
 def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
     """Sum of zeta_tree_u over the black vertices `us`, reduced once."""
     empty = TSeries.zeros(Rat(0), order)  # also rejects order < 1
-    if M < 2:
+    # the B - 1 black values besides m_u are >= 1 and their total is < M
+    if M < max(2, len(t.black)):
         return empty
     L = lcm(*range(1, M))
     totals = [0] * order
