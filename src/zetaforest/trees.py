@@ -17,8 +17,10 @@ glue-at-the-roots product).  `Tree.build` checks all of this, so a tree is
 valid once it exists and no operation on it checks its structure again.
 
 The tree-level symmetrization re-roots its input at every black vertex with
-bumped path indices.  Its terms' keys come from one canonical walk of the
-input plus one pass over each term's path, not from a walk per term.
+bumped path indices.  One canonical walk of the input and one walk down it,
+parents before children, key every term: each vertex hands its children the
+encodings of what lies above them, so a shared path prefix is encoded once
+and each term costs one encoding of its new root.
 """
 
 from __future__ import annotations
@@ -400,18 +402,36 @@ class TreeCombo(Combo):
         }
 
 
-def symmetrization_terms(t: Tree, order: int):
-    """Yield (degree, coefficient, re-rooted tree) for the t-adic tree map.
+def _hang(head: str, pairs: list, items: list, k, s) -> str:
+    """A vertex's encoding from its opening, its children's sorted (index,
+    DSL) pairs and rendered items, and, unless s is None, the DSL s inserted
+    among them as one more child through index k."""
+    if s is not None:
+        j = bisect(pairs, (k, s))
+        items = items[:j] + [f"{k}:{s}"] + items[j:]
+    return head + ",".join(items) + ")"
+
+
+def _rerootings(t: Tree, order: int):
+    """Yield (v, degree, coefficient, key, bumped) for every term of the
+    t-adic tree map, from one walk of `t` down its parent map.
 
     One term per black vertex v and per non-negative bump vector l on the
     root-to-v path with total < order: the tree re-rooted at v with indices
     raised by l, weighted by the signed product of b-binomials, in degree
-    equal to the bump total.
+    equal to the bump total.  `bumped` holds the path's bumped indices as
+    nested pairs (k, rest), from v's edge up to the old root, ending in None.
 
-    Each term's key comes from one canonical walk of `t` plus one pass over
-    its path.  Everything off the root-to-v path keeps its encoding from the
-    walk, so only the path is re-encoded, from the old root down to v: each
-    path vertex takes the encoding so far as one more child among its others.
+    For each vertex a the walk keeps the entries (k, s, degree, coefficient,
+    bumped) of the part of `t` outside a's subtree: hung from a's parent,
+    encoded as s, and entering a through its edge with bumped index k.  A
+    child u's entries come from a's alone: a's encoding without u, with each
+    entry's part inserted among a's other children, fanned out over the bumps
+    of the edge a-u while the degree stays below `order`.  Per-edge signs and
+    b-binomials multiply to the path's.  The root has one empty entry, from
+    `bumps((), order)`, which also rejects an order below 1.  So every path
+    prefix is encoded once, and each entry and each term costs one encoding:
+    O(V) characters per term, with no per-vertex path and no recursion.
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
@@ -419,39 +439,60 @@ def symmetrization_terms(t: Tree, order: int):
         raise NotEssentiallyPositive(t.key)
     kids: dict[int, list] = {}
     t._canonical(kids)
-    at = {e: i for i, (u, w, _) in enumerate(t.edges) for e in ((u, w), (w, u))}
-    for v in sorted(t.black):
-        path = t.root_path(v)
-        steps = [at[e] for e in zip(path, path[1:])]
-        ks = tuple(t.edges[i][2] for i in steps)
-        # per path vertex, the old root first: the sorted (index, DSL) pairs
-        # of its children off the path, their rendered items, its opening,
-        # and where in t.edges its edge to the vertex above it sits
-        down = path[::-1]
-        others = []
-        for a, below, i in zip(down, [*down[1:], None], [None, *steps[::-1]]):
-            pairs = [(k, e) for k, e, u in kids[a] if u != below]
-            others.append((pairs, [f"{k}:{e}" for k, e in pairs], "b(" if a in t.black else "w(", i))
-        _, items, head, _ = others.pop(0)
-        top = head + ",".join(items) + ")"
-        for bumped, d, c in bumps(ks, order):
-            s, edges = top, list(t.edges)
-            for (pairs, items, head, i), k in zip(others, reversed(bumped)):
-                u, w, _ = edges[i]
-                edges[i] = (u, w, k)
-                j = bisect(pairs, (k, s))
-                s = head + ",".join(items[:j] + [f"{k}:{s}"] + items[j:]) + ")"
-            shifted = Tree(v, t.black, t.white, tuple(edges))
-            shifted.__dict__["key"] = s  # the slot cached_property fills
-            yield d, c, shifted
+    above = {t.root: [(None, None, d, c, None) for _, d, c in bumps((), order)]}
+    for a in t.parent:  # every vertex after its parent
+        entries = above.pop(a)
+        head = "b(" if a in t.black else "w("
+        pairs = [(k, e) for k, e, _ in kids[a]]
+        items = [f"{k}:{e}" for k, e in pairs]
+        if a in t.black:
+            for k, s, d, c, bumped in entries:
+                yield a, d, c, _hang(head, pairs, items, k, s), bumped
+        for i, (ku, _, u) in enumerate(kids[a]):
+            rest, rest_items = pairs[:i] + pairs[i + 1 :], items[:i] + items[i + 1 :]
+            fan = list(bumps((ku,), order))  # by degree
+            out = above[u] = []
+            for k, s, d, c, bumped in entries:
+                su = _hang(head, rest, rest_items, k, s)
+                for (kb,), db, cb in fan:
+                    if d + db >= order:
+                        break
+                    out.append((kb, su, d + db, c * cb, (kb, bumped)))
+
+
+def symmetrization_terms(t: Tree, order: int):
+    """Yield (degree, coefficient, re-rooted tree) for the t-adic tree map,
+    one per term of `_rerootings`, each tree with its key already set.
+
+    The bumped indices go into a copy of `t.edges` through the slot of each
+    vertex's edge to its parent, found once per tree.
+    """
+    par = t.parent
+    slot = {}
+    for i, (u, w, _) in enumerate(t.edges):
+        slot[w if par[w] == u else u] = i
+    for v, d, c, key, bumped in _rerootings(t, order):
+        edges = list(t.edges)
+        u = v
+        while bumped is not None:
+            k, bumped = bumped
+            a, b, _ = edges[slot[u]]
+            edges[slot[u]] = (a, b, k)
+            u = par[u]
+        shifted = Tree(v, t.black, t.white, tuple(edges))
+        shifted.__dict__["key"] = key  # the slot cached_property fills
+        yield d, c, shifted
 
 
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: signed root changes with index bumps
-    along the old-root-to-new-root path, one t power per bump weight."""
+    along the old-root-to-new-root path, one t power per bump weight.
+
+    The keys come straight from `_rerootings`; no term builds a `Tree`.
+    """
     rows: list[dict] = [{} for _ in range(order)]
-    for degree, coeff, shifted in symmetrization_terms(t, order):
-        accumulate(rows[degree], shifted.key, coeff)
+    for _, degree, coeff, key, _ in _rerootings(t, order):
+        accumulate(rows[degree], key, coeff)
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 

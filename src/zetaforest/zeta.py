@@ -97,7 +97,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     and the leaves of a valid tree are black, so its total is at least 1.
     """
     adj = t.adj
-    parent = t.parent_from(top)
+    parent = t.parent if top == t.root else t.parent_from(top)  # the root's is cached
     vectors: dict[int, list | None] = {}
     for v in reversed(parent):
         rows = None

@@ -3,7 +3,9 @@
 These enumerate every increasing index tuple or every composition of M and
 add exact rationals term by term.  They are exponential in the depth or in
 the number of black vertices, and independent of the dynamic programs in
-``zetaforest.zeta`` that they check.
+``zetaforest.zeta`` that they check.  ``symmetrization_reference`` rebuilds
+every re-rooted tree of the t-adic tree map from scratch, independent of the
+shared walk in ``zetaforest.trees`` that it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import chain, combinations
 from math import comb
 
 from zetaforest.errors import UnknownVertex
-from zetaforest.indices import Tuple_, positive_compositions
+from zetaforest.indices import Tuple_, bumps, positive_compositions
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.trees import Tree
@@ -134,3 +136,24 @@ def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
             for d in range(order):
                 coeffs[d] += scalar * series[d]
     return TSeries(tuple(coeffs), order)
+
+
+def symmetrization_reference(t: Tree, order: int) -> list:
+    """Every term of the t-adic tree map as (degree, coefficient, key, root,
+    edges), one re-rooted tree built afresh per term.
+
+    For each black v and each term of `bumps` on the indices of the path from
+    v up to the root, the tree with those indices bumped is rebuilt with
+    `Tree.build` at root v and keyed by a fresh canonical walk.
+    """
+    out = []
+    for v in sorted(t.black):
+        path = t.root_path(v)
+        steps = [frozenset(e) for e in zip(path, path[1:])]
+        ks = tuple(t.adj[a][b] for a, b in zip(path, path[1:]))
+        for bumped, d, c in bumps(ks, order):
+            raised = dict(zip(steps, bumped))
+            edges = [(a, b, raised.get(frozenset((a, b)), k)) for a, b, k in t.edges]
+            s = Tree.build(v, t.black, t.white, edges)
+            out.append((d, c, s._canonical(), s.root, s.edges))
+    return out

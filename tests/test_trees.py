@@ -1,8 +1,10 @@
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
+from enum_oracles import symmetrization_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,19 +498,60 @@ def _check_terms(t: Tree, order: int) -> int:
     return n
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_symmetrization_keys_match_fresh_walks(order):
-    # the keys come from one walk of the input plus one path per term; the
-    # vertex ids are shuffled so that no tie between siblings follows them
-    rng = random.Random(order)
-    sizes = set()
-    for _ in range(40 if order < 4 else 20):
+def _check_against_reference(t: Tree, order: int) -> int:
+    """`symmetrization_terms` yields the reference's terms, each exactly once,
+    and `cap_phi_hat` sums them by key; the number of terms."""
+    from zetaforest.trees import symmetrization_terms
+
+    expected = symmetrization_reference(t, order)
+    got = [(d, c, s.key, s.root, s.edges) for d, c, s in symmetrization_terms(t, order)]
+    assert Counter(got) == Counter(expected)
+    rows = [{} for _ in range(order)]
+    for d, c, key, _, _ in expected:
+        rows[d][key] = rows[d].get(key, 0) + c
+    for combo, row in zip(cap_phi_hat(t, order).coeffs, rows):
+        assert [(tree.key, c) for tree, c in combo.terms()] == sorted((k, c) for k, c in row.items() if c)
+    return len(expected)
+
+
+def _relabelled_random_trees(rng: random.Random, n: int) -> list:
+    """Seeded trees of up to 25 vertices, their ids shuffled so that no tie
+    between siblings follows them."""
+    out = []
+    for _ in range(n):
         t = random_tree(rng, max_vertices=25, k_cap=2)
         ids = rng.sample(range(100), len(t.vertices))
-        t = relabel(t, dict(zip(sorted(t.vertices), ids)))
-        assert _check_terms(t, order) >= len(t.black)
-        sizes.add(len(t.vertices))
+        out.append(relabel(t, dict(zip(sorted(t.vertices), ids))))
+    sizes = {len(t.vertices) for t in out}
     assert min(sizes) < 5 and max(sizes) > 20
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_symmetrization_keys_match_fresh_walks(order):
+    # each term's key comes from the walk that encodes what lies above each
+    # vertex once for all its children; a fresh walk of the term must agree
+    rng = random.Random(order)
+    for t in _relabelled_random_trees(rng, 40 if order < 4 else 20):
+        assert _check_terms(t, order) >= len(t.black)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_symmetrization_matches_the_reference(order):
+    # a dropped, duplicated or misweighted term changes the multiset
+    rng = random.Random(100 + order)
+    for t in builtin_catalog() + _relabelled_random_trees(rng, 40):
+        assert _check_against_reference(t, order) >= len(t.black)
+
+
+def _with_low_recursion_limit(check):
+    """`check()` with the recursion limit 100 frames above the current depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        return check()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_symmetrization_keys_on_a_long_chain():
@@ -518,12 +561,17 @@ def test_symmetrization_keys_on_a_long_chain():
     t = Tree.build(0, [i for i, c in enumerate(colors) if c == "b"],
                    [i for i, c in enumerate(colors) if c == "w"],
                    [(i, i + 1, (1, 0, 2)[i % 3]) for i in range(300)])
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 100)
-    try:
-        assert _check_terms(t, 2) > 300
-    finally:
-        sys.setrecursionlimit(limit)
+    assert _with_low_recursion_limit(lambda: _check_terms(t, 2)) > 300
+    assert _with_low_recursion_limit(lambda: _check_against_reference(t, 2)) > 300
+
+
+def test_symmetrization_on_a_wide_star():
+    # a black root with 200 black leaves: one vertex hands its entries to 200
+    # children, and isomorphic terms merge in cap_phi_hat
+    t = Tree.build(0, range(201), [], [(0, i, 1 + i % 3) for i in range(1, 201)])
+    n = _with_low_recursion_limit(lambda: _check_against_reference(t, 3))
+    assert n == 1 + 200 * 3
+    assert len(cap_phi_hat(t, 3).coeffs[0]) == 4
 
 
 # --- combinations ---------------------------------------------------------------
