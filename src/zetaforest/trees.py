@@ -17,10 +17,9 @@ glue-at-the-roots product).  `Tree.build` checks all of this, so a tree is
 valid once it exists and no operation on it checks its structure again.
 
 The tree-level symmetrization re-roots its input at every black vertex with
-bumped path indices.  One canonical walk of the input and one walk down it,
-parents before children, key every term: each vertex hands its children the
-encodings of what lies above them, so a shared path prefix is encoded once
-and each term costs one encoding of its new root.
+bumped path indices.  One walk down the input keys every term: each vertex
+hands its children the encodings of what lies above them, so a shared path
+prefix is encoded once and each term costs one encoding of its new root.
 """
 
 from __future__ import annotations
@@ -403,9 +402,9 @@ class TreeCombo(Combo):
 
 
 def _hang(head: str, pairs: list, items: list, k, s) -> str:
-    """A vertex's encoding from its opening, its children's sorted (index,
-    DSL) pairs and rendered items, and, unless s is None, the DSL s inserted
-    among them as one more child through index k."""
+    """The encoding opened by `head` with the children `items`, whose sorted
+    (index, DSL) pairs are `pairs`, and the DSL s through index k unless s
+    is None."""
     if s is not None:
         j = bisect(pairs, (k, s))
         items = items[:j] + [f"{k}:{s}"] + items[j:]
@@ -413,25 +412,20 @@ def _hang(head: str, pairs: list, items: list, k, s) -> str:
 
 
 def _rerootings(t: Tree, order: int):
-    """Yield (v, degree, coefficient, key, bumped) for every term of the
-    t-adic tree map, from one walk of `t` down its parent map.
+    """Yield (v, degree, coefficient, key, bumped) per term of the t-adic
+    tree map: `t` re-rooted at a black v, the indices ks of the root-to-v
+    path raised by a bump vector l with wt(l) = degree < order, weighted by
+    (-1)^wt(ks) b(ks; l).  `bumped` holds the raised indices as pairs
+    (k, rest) from v's edge up, ending in None.
 
-    One term per black vertex v and per non-negative bump vector l on the
-    root-to-v path with total < order: the tree re-rooted at v with indices
-    raised by l, weighted by the signed product of b-binomials, in degree
-    equal to the bump total.  `bumped` holds the path's bumped indices as
-    nested pairs (k, rest), from v's edge up to the old root, ending in None.
-
-    For each vertex a the walk keeps the entries (k, s, degree, coefficient,
-    bumped) of the part of `t` outside a's subtree: hung from a's parent,
-    encoded as s, and entering a through its edge with bumped index k.  A
-    child u's entries come from a's alone: a's encoding without u, with each
-    entry's part inserted among a's other children, fanned out over the bumps
-    of the edge a-u while the degree stays below `order`.  Per-edge signs and
-    b-binomials multiply to the path's.  The root has one empty entry, from
-    `bumps((), order)`, which also rejects an order below 1.  So every path
-    prefix is encoded once, and each entry and each term costs one encoding:
-    O(V) characters per term, with no per-vertex path and no recursion.
+    One walk down the parent map keeps, per vertex a, entries (k, s, degree,
+    coefficient, bumped) for the part of `t` outside a's subtree, encoded as
+    s and entering a through index k.  The root has one empty entry, from
+    `bumps((), order)`, which also rejects an order below 1.  A child's
+    entries are a's hung among a's other children, times the bumps of the
+    child's edge; per-edge signs and b-binomials multiply to the path's.  So
+    a shared path prefix is encoded once, each entry or term costs one
+    encoding, O(V) characters, and nothing recurses.
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
@@ -461,35 +455,27 @@ def _rerootings(t: Tree, order: int):
 
 
 def symmetrization_terms(t: Tree, order: int):
-    """Yield (degree, coefficient, re-rooted tree) for the t-adic tree map,
-    one per term of `_rerootings`, each tree with its key already set.
-
-    The bumped indices go into a copy of `t.edges` through the slot of each
-    vertex's edge to its parent, found once per tree.
-    """
+    """Yield (degree, coefficient, re-rooted tree) per term of `_rerootings`,
+    the raised indices written into a copy of `t.edges` through the slot of
+    each vertex's edge to its parent."""
     par = t.parent
-    slot = {}
-    for i, (u, w, _) in enumerate(t.edges):
-        slot[w if par[w] == u else u] = i
+    slot = {w if par[w] == u else u: i for i, (u, w, _) in enumerate(t.edges)}
     for v, d, c, key, bumped in _rerootings(t, order):
-        edges = list(t.edges)
-        u = v
-        while bumped is not None:
+        edges, u = list(t.edges), v
+        while bumped is not None:  # from v's edge up to the old root
             k, bumped = bumped
             a, b, _ = edges[slot[u]]
             edges[slot[u]] = (a, b, k)
             u = par[u]
         shifted = Tree(v, t.black, t.white, tuple(edges))
-        shifted.__dict__["key"] = key  # the slot cached_property fills
+        shifted.__dict__["key"] = key  # the entry cached_property fills
         yield d, c, shifted
 
 
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: signed root changes with index bumps
-    along the old-root-to-new-root path, one t power per bump weight.
-
-    The keys come straight from `_rerootings`; no term builds a `Tree`.
-    """
+    along the old-root-to-new-root path, one t power per bump weight.  Sums
+    the keys of `_rerootings`, building no tree."""
     rows: list[dict] = [{} for _ in range(order)]
     for _, degree, coeff, key, _ in _rerootings(t, order):
         accumulate(rows[degree], key, coeff)

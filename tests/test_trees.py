@@ -4,7 +4,6 @@ import sys
 from collections import Counter
 
 import pytest
-from enum_oracles import symmetrization_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +44,8 @@ from zetaforest.trees import (
 )
 from zetaforest.words import HElem, right_mul_x_pow, shuffle
 from zetaforest.zeta import zeta_tree
+
+from enum_oracles import symmetrization_reference
 
 
 def z(*k):

@@ -74,6 +74,15 @@ def test_zeta_tree_examples():
     assert zeta_tree(star_tree(0, (1, 1)), 4) == Rat(1, 1) + Rat(1, 2) + Rat(1, 2)
 
 
+def test_zeta_tree_walks_the_cached_orientation(monkeypatch):
+    # walked from the root, the oracle reads the cached parent map; a sweep
+    # over M re-orients nothing
+    t = hybrid_tree(1, 2, 1, 2, 1)
+    expected = [zeta_tree(t, M) for M in range(1, 8)]
+    monkeypatch.setattr(Tree, "parent_from", lambda self, top: pytest.fail("re-oriented"))
+    assert [zeta_tree(t, M) for M in range(1, 8)] == expected
+
+
 def test_zeta_tree_matches_index_on_linear():
     for r in range(0, 4):
         for ks in itertools.product((1, 2, 3), repeat=r):
