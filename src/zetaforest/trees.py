@@ -17,9 +17,11 @@ glue-at-the-roots product).  `Tree.build` checks all of this, so a tree is
 valid once it exists and no operation on it checks its structure again.
 
 The tree-level symmetrization re-roots its input at every black vertex with
-bumped path indices.  One walk down the input keys every term: each vertex
+bumped path indices.  A term is an isomorphism class, named by its key:
+`cap_phi_hat` keys every term in one walk down the input, where each vertex
 hands its children the encodings of what lies above them, so a shared path
 prefix is encoded once and each term costs one encoding of its new root.
+`symmetrization_terms` parses its trees back from those keys.
 """
 
 from __future__ import annotations
@@ -411,21 +413,21 @@ def _hang(head: str, pairs: list, items: list, k, s) -> str:
     return head + ",".join(items) + ")"
 
 
-def _rerootings(t: Tree, order: int):
-    """Yield (v, degree, coefficient, key, bumped) per term of the t-adic
-    tree map: `t` re-rooted at a black v, the indices ks of the root-to-v
-    path raised by a bump vector l with wt(l) = degree < order, weighted by
-    (-1)^wt(ks) b(ks; l).  `bumped` holds the raised indices as pairs
-    (k, rest) from v's edge up, ending in None.
+def cap_phi_hat(t: Tree, order: int) -> TSeries:
+    """Tree-level t-adic symmetrization: `t` re-rooted at each black v, the
+    indices ks of the root-to-v path raised by a bump vector l with
+    wt(l) = d < order, at t^d with weight (-1)^wt(ks) b(ks; l), summed by key.
 
     One walk down the parent map keeps, per vertex a, entries (k, s, degree,
-    coefficient, bumped) for the part of `t` outside a's subtree, encoded as
-    s and entering a through index k.  The root has one empty entry, from
-    `bumps((), order)`, which also rejects an order below 1.  A child's
-    entries are a's hung among a's other children, times the bumps of the
-    child's edge; per-edge signs and b-binomials multiply to the path's.  So
-    a shared path prefix is encoded once, each entry or term costs one
-    encoding, O(V) characters, and nothing recurses.
+    coefficient) for the part of `t` outside a's subtree, encoded as s and
+    entering a through index k.  The root has one empty entry, from
+    `bumps((), order)`, which also rejects an order below 1.  A black a adds
+    each entry's key, a's encoding with s hung through k, to its degree's
+    row.  A child's entries are a's hung among a's other children, times the
+    bumps of the child's edge; per-edge signs and b-binomials multiply to the
+    path's.  So a shared path prefix is encoded once, each entry or term
+    costs one encoding, O(V) characters, nothing recurses and no tree is
+    built.
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
@@ -433,53 +435,36 @@ def _rerootings(t: Tree, order: int):
         raise NotEssentiallyPositive(t.key)
     kids: dict[int, list] = {}
     t._canonical(kids)
-    above = {t.root: [(None, None, d, c, None) for _, d, c in bumps((), order)]}
+    rows: list[dict] = [{} for _ in range(order)]
+    above = {t.root: [(None, None, d, c) for _, d, c in bumps((), order)]}
     for a in t.parent:  # every vertex after its parent
         entries = above.pop(a)
         head = "b(" if a in t.black else "w("
         pairs = [(k, e) for k, e, _ in kids[a]]
         items = [f"{k}:{e}" for k, e in pairs]
         if a in t.black:
-            for k, s, d, c, bumped in entries:
-                yield a, d, c, _hang(head, pairs, items, k, s), bumped
+            for k, s, d, c in entries:
+                accumulate(rows[d], _hang(head, pairs, items, k, s), c)
         for i, (ku, _, u) in enumerate(kids[a]):
             rest, rest_items = pairs[:i] + pairs[i + 1 :], items[:i] + items[i + 1 :]
             fan = list(bumps((ku,), order))  # by degree
             out = above[u] = []
-            for k, s, d, c, bumped in entries:
+            for k, s, d, c in entries:
                 su = _hang(head, rest, rest_items, k, s)
                 for (kb,), db, cb in fan:
                     if d + db >= order:
                         break
-                    out.append((kb, su, d + db, c * cb, (kb, bumped)))
+                    out.append((kb, su, d + db, c * cb))
+    return TSeries(map(TreeCombo._wrap, rows), order)
 
 
 def symmetrization_terms(t: Tree, order: int):
-    """Yield (degree, coefficient, re-rooted tree) per term of `_rerootings`,
-    the raised indices written into a copy of `t.edges` through the slot of
-    each vertex's edge to its parent."""
-    par = t.parent
-    slot = {w if par[w] == u else u: i for i, (u, w, _) in enumerate(t.edges)}
-    for v, d, c, key, bumped in _rerootings(t, order):
-        edges, u = list(t.edges), v
-        while bumped is not None:  # from v's edge up to the old root
-            k, bumped = bumped
-            a, b, _ = edges[slot[u]]
-            edges[slot[u]] = (a, b, k)
-            u = par[u]
-        shifted = Tree(v, t.black, t.white, tuple(edges))
-        shifted.__dict__["key"] = key  # the entry cached_property fills
-        yield d, c, shifted
-
-
-def cap_phi_hat(t: Tree, order: int) -> TSeries:
-    """Tree-level t-adic symmetrization: signed root changes with index bumps
-    along the old-root-to-new-root path, one t power per bump weight.  Sums
-    the keys of `_rerootings`, building no tree."""
-    rows: list[dict] = [{} for _ in range(order)]
-    for _, degree, coeff, key, _ in _rerootings(t, order):
-        accumulate(rows[degree], key, coeff)
-    return TSeries(map(TreeCombo._wrap, rows), order)
+    """Yield (degree, coefficient, tree) per term of `cap_phi_hat(t, order)`:
+    one isomorphism class each, its coefficient merged and nonzero, its tree
+    parsed from its key."""
+    for degree, combo in enumerate(cap_phi_hat(t, order).coeffs):
+        for tree, coeff in combo.terms():
+            yield degree, coeff, tree
 
 
 def cap_phi(t: Tree) -> TreeCombo:

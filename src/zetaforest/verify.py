@@ -168,19 +168,25 @@ def main_lhs(t: Tree, order: int) -> TSeries:
 
 
 def harvested_terms(t: Tree, order: int) -> list:
-    """The terms of `symmetrization_terms`, each re-rooted tree replaced by
-    its harvestable form.  They do not depend on M, so a sweep over M builds
-    them once per tree."""
-    return [(d, c, harvestable_form(shifted)) for d, c, shifted in symmetrization_terms(t, order)]
+    """The terms of `symmetrization_terms`, one per isomorphism class with
+    its merged coefficient, each tree replaced by its harvestable form.  They
+    do not depend on M, so a sweep over M builds them once per tree."""
+    return [(d, c, harvestable_form(tree)) for d, c, tree in symmetrization_terms(t, order)]
+
+
+def _harvested_words(terms: list, order: int) -> TSeries:
+    """The words of harvested terms, weighted by their coefficients, one
+    t-degree each."""
+    rows: list[dict] = [{} for _ in range(order)]
+    for degree, coeff, hf in terms:
+        w_word(hf).add_into(rows[degree], coeff)
+    return TSeries(map(HElem._wrap, rows), order)
 
 
 def main_rhs(t: Tree, order: int) -> TSeries:
     """Tree-side of the main identity: signed, b-weighted words of the
     harvestable forms of the re-rooted index-bumped trees."""
-    rows: list[dict] = [{} for _ in range(order)]
-    for degree, coeff, hf in harvested_terms(t, order):
-        w_word(hf).add_into(rows[degree], coeff)
-    return TSeries(map(HElem._wrap, rows), order)
+    return _harvested_words(harvested_terms(t, order), order)
 
 
 def diagram_rhs(t: Tree, order: int) -> TSeries:
@@ -395,13 +401,13 @@ def _suite_main(cfg: RunConfig) -> Iterator[Case]:
 
     def check(t: Tree) -> Optional[str]:
         lhs = main_lhs(t, order)
-        d = _diff(lhs, main_rhs(t, order))
+        terms = harvested_terms(t, order)
+        d = _diff(lhs, _harvested_words(terms, order))
         if d:
             return "word identity: " + d
         d = _diff(lhs, diagram_rhs(t, order))
         if d:
             return "diagram: " + d
-        terms = harvested_terms(t, order)
         for M in range(1, cfg.m_max + 1):
             d = _diff(z_m_series(lhs, M), root_change_rhs(terms, M, order))
             if d:

@@ -1,0 +1,20 @@
+import importlib.util
+from pathlib import Path
+
+from zetaforest.cli import _COMMANDS
+from zetaforest.verify import SUITE_NAMES
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+_spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
+cli_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_digest)
+
+
+def test_invocations_cover_every_command_and_suite():
+    argvs = cli_digest.invocations()
+    assert {argv[0] for argv in argvs} == set(_COMMANDS) | {"verify"}
+    suites = {argv[2] for argv in argvs if argv[:2] == ["verify", "--suite"]}
+    assert suites >= set(SUITE_NAMES)
+    for name in list(_COMMANDS) + ["verify"]:
+        runs = [argv for argv in argvs if argv[0] == name]
+        assert any("--json" in argv for argv in runs) and any("--json" not in argv for argv in runs)

@@ -485,34 +485,37 @@ def test_essential_positivity_preserved_by_symmetrization_terms():
             assert shifted.root in shifted.black
 
 
-def _check_terms(t: Tree, order: int) -> int:
-    """Every term of `symmetrization_terms` against a rebuild of its own
-    fields and a fresh canonical walk of that rebuild; the number of terms."""
+def _check_keys(t: Tree, order: int) -> int:
+    """Every key of `cap_phi_hat` against a fresh canonical walk of the tree
+    it parses to, and the trees of `symmetrization_terms` against those
+    parses; the number of terms."""
     from zetaforest.trees import symmetrization_terms
 
-    n = 0
-    for _, _, shifted in symmetrization_terms(t, order):
-        rebuilt = Tree.build(shifted.root, shifted.black, shifted.white, shifted.edges)
-        assert shifted == rebuilt
-        assert shifted.key == rebuilt._canonical()
-        n += 1
-    return n
+    keys = [(d, key) for d, combo in enumerate(cap_phi_hat(t, order).coeffs) for key, _ in combo._sorted()]
+    trees = [(d, parse_tree(key)) for d, key in keys]
+    for (_, key), (_, tree) in zip(keys, trees):
+        assert tree._canonical() == key
+    assert [(d, tree) for d, _, tree in symmetrization_terms(t, order)] == trees
+    return len(trees)
 
 
 def _check_against_reference(t: Tree, order: int) -> int:
-    """`symmetrization_terms` yields the reference's terms, each exactly once,
-    and `cap_phi_hat` sums them by key; the number of terms."""
+    """`symmetrization_terms` and `cap_phi_hat` yield the reference's terms
+    merged by (degree, key): zero sums dropped, each (degree, key) once, in
+    key order, each tree parsed from its key; the number of reference terms."""
     from zetaforest.trees import symmetrization_terms
 
-    expected = symmetrization_reference(t, order)
-    got = [(d, c, s.key, s.root, s.edges) for d, c, s in symmetrization_terms(t, order)]
-    assert Counter(got) == Counter(expected)
+    reference = symmetrization_reference(t, order)
     rows = [{} for _ in range(order)]
-    for d, c, key, _, _ in expected:
+    for d, c, key, _, _ in reference:
         rows[d][key] = rows[d].get(key, 0) + c
-    for combo, row in zip(cap_phi_hat(t, order).coeffs, rows):
-        assert [(tree.key, c) for tree, c in combo.terms()] == sorted((k, c) for k, c in row.items() if c)
-    return len(expected)
+    expected = [(d, key, c) for d, row in enumerate(rows) for key, c in sorted(row.items()) if c]
+    got = list(symmetrization_terms(t, order))
+    assert [(d, tree.key, c) for d, c, tree in got] == expected
+    assert [tree for _, _, tree in got] == [parse_tree(key) for _, key, _ in expected]
+    series = cap_phi_hat(t, order).coeffs
+    assert [(d, key, c) for d, combo in enumerate(series) for key, c in combo._sorted()] == expected
+    return len(reference)
 
 
 def _relabelled_random_trees(rng: random.Random, n: int) -> list:
@@ -530,19 +533,21 @@ def _relabelled_random_trees(rng: random.Random, n: int) -> list:
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_symmetrization_keys_match_fresh_walks(order):
-    # each term's key comes from the walk that encodes what lies above each
-    # vertex once for all its children; a fresh walk of the term must agree
+    # each key comes from the walk that encodes what lies above each vertex
+    # once for all its children; it must be the canonical key of its parse
     rng = random.Random(order)
-    for t in _relabelled_random_trees(rng, 40 if order < 4 else 20):
-        assert _check_terms(t, order) >= len(t.black)
+    trees = _relabelled_random_trees(rng, 40 if order < 4 else 20)
+    counts = _with_low_recursion_limit(lambda: [_check_keys(t, order) for t in trees])
+    assert sum(counts) >= len(trees)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_symmetrization_matches_the_reference(order):
-    # a dropped, duplicated or misweighted term changes the multiset
+    # a dropped, duplicated, unmerged or misweighted term changes the list
     rng = random.Random(100 + order)
-    for t in builtin_catalog() + _relabelled_random_trees(rng, 40):
-        assert _check_against_reference(t, order) >= len(t.black)
+    trees = builtin_catalog() + _relabelled_random_trees(rng, 40)
+    counts = _with_low_recursion_limit(lambda: [_check_against_reference(t, order) for t in trees])
+    assert all(n >= len(t.black) for t, n in zip(trees, counts))
 
 
 def _with_low_recursion_limit(check):
@@ -562,16 +567,17 @@ def test_symmetrization_keys_on_a_long_chain():
     t = Tree.build(0, [i for i, c in enumerate(colors) if c == "b"],
                    [i for i, c in enumerate(colors) if c == "w"],
                    [(i, i + 1, (1, 0, 2)[i % 3]) for i in range(300)])
-    assert _with_low_recursion_limit(lambda: _check_terms(t, 2)) > 300
+    assert _with_low_recursion_limit(lambda: _check_keys(t, 2)) > 3
     assert _with_low_recursion_limit(lambda: _check_against_reference(t, 2)) > 300
 
 
 def test_symmetrization_on_a_wide_star():
     # a black root with 200 black leaves: one vertex hands its entries to 200
-    # children, and isomorphic terms merge in cap_phi_hat
+    # children, and the isomorphic terms merge
     t = Tree.build(0, range(201), [], [(0, i, 1 + i % 3) for i in range(1, 201)])
     n = _with_low_recursion_limit(lambda: _check_against_reference(t, 3))
     assert n == 1 + 200 * 3
+    assert _with_low_recursion_limit(lambda: _check_keys(t, 3)) < 50
     assert len(cap_phi_hat(t, 3).coeffs[0]) == 4
 
 

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaforest import verify
-from zetaforest.catalog import random_tree
+from zetaforest.catalog import builtin_catalog, random_tree
 from zetaforest.errors import BadIndex, BadOrder, UnknownSuite
-from zetaforest.trees import harvestable_form, parse_tree
+from zetaforest.series import TSeries
+from zetaforest.trees import Tree, harvestable_form, parse_tree
 from zetaforest.verify import (
     SUITE_NAMES,
     Case,
@@ -25,7 +26,9 @@ from zetaforest.verify import (
     t_btt_rhs,
 )
 from zetaforest.words import HElem
-from zetaforest.zeta import z_m_series
+from zetaforest.zeta import z_m_series, zeta_tree
+
+from enum_oracles import symmetrization_reference
 
 CFG = RunConfig(t_order=3, m_max=5, weight_max=3, seed=0, count=25)
 
@@ -166,3 +169,18 @@ def test_main_identity_on_random_trees(seed):
     terms = harvested_terms(t, 3)
     for M in range(1, 9):
         assert z_m_series(lhs, M) == root_change_rhs(terms, M, 3), (t.key, M)
+
+
+def test_harvested_terms_keep_the_numbers():
+    # the merged terms, parsed from their keys, against the reference's
+    # unmerged terms on the input's own labels: merging keeps every tree sum
+    rng = random.Random(19)
+    for t in builtin_catalog() + [random_tree(rng, max_vertices=8, k_cap=2) for _ in range(20)]:
+        terms = harvested_terms(t, 3)
+        reference = [(d, c, harvestable_form(Tree.build(root, t.black, t.white, edges)))
+                     for d, c, _, root, edges in symmetrization_reference(t, 3)]
+        for M in range(1, 9):
+            rows = [0, 0, 0]
+            for d, c, hf in reference:
+                rows[d] += c * zeta_tree(hf, M)
+            assert root_change_rhs(terms, M, 3) == TSeries(tuple(rows), 3), (t.key, M)
