@@ -191,16 +191,6 @@ class Tree:
             if len(adj[v]) <= 1:
                 raise TerminalNotBlack(f"terminal vertex {v} is white")
 
-    def root_path(self, v: int) -> list:
-        """The vertices from v up to the root, both ends included."""
-        if v not in self.vertices:
-            raise UnknownVertex(f"vertex {v} is not in the tree")
-        par = self.parent
-        path = [v]
-        while par[path[-1]] is not None:
-            path.append(par[path[-1]])
-        return path
-
     def change_root(self, v: int) -> "Tree":
         if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the tree")

@@ -30,8 +30,10 @@ once at the end.
 * ``zeta_tree_u`` is the same walk re-rooted at u, where each edge's base is
   the total of the side away from u.  That base is negated and shifted by t
   on the edges of the old root-to-u path, so vector entries there are
-  t-series.  It costs O(V*M^2*N^2) at t-order N.  ``zeta_shat_tree`` adds
-  the numerators of all B re-rootings before its one reduction, so it costs
+  t-series.  The walk finds those edges itself: each leads from a vertex
+  down to that vertex's parent in the tree hung from the old root.  It
+  costs O(V*M^2*N^2) at t-order N.  ``zeta_shat_tree`` adds the numerators
+  of all B re-rootings before its one reduction, so it costs
   O(B*V*M^2*N^2).
 
 The brute-force enumerators these replace are kept as the test-only
@@ -76,16 +78,17 @@ def zeta_index(k: Tuple_, M: int) -> object:
     return Rat(sum(row), L ** sum(k))
 
 
-def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
-               cap: int, L: int, order: int) -> list:
+def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int) -> list:
     """The total vector of the whole tree, walked from `top`.
 
     Returns rows[d][n] for d < order and n <= cap: the numerator over
     L^(K+d), K the sum of all edge indices, of the t^d coefficient of the sum
     over values >= 1 on the vertices in `free` with total n.  Every vertex
     outside `free` has value 0.  The edge above a vertex c (seen from `top`)
-    contributes (total below c)^-k, or (-(total below c) + t)^-k if c is in
-    `flipped`.  Vectors hold plain ints, so no ``Rat`` is built here.
+    contributes (total below c)^-k, or (-(total below c) + t)^-k if c is the
+    `t.parent` of the vertex above it: the edges from `top` up to `t.root`,
+    whose summand sets hold `top`.  Vectors hold plain ints, so no ``Rat``
+    is built here.
 
     A black leaf other than `top` gets no vector of its own: its vector
     [0, 1, ..., 1] times the edge factor rows is those rows, since their
@@ -96,8 +99,8 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
     No base is 0: the far side of every edge holds a leaf other than `top`,
     and the leaves of a valid tree are black, so its total is at least 1.
     """
-    adj = t.adj
-    parent = t.parent if top == t.root else t.parent_from(top)  # the root's is cached
+    adj, up = t.adj, t.parent
+    parent = up if top == t.root else t.parent_from(top)  # the root's is cached
     vectors: dict[int, list | None] = {}
     for v in reversed(parent):
         rows = None
@@ -105,10 +108,11 @@ def _tree_rows(t: Tree, top: int, free: frozenset, flipped: frozenset,
             if w == parent[v]:
                 continue
             child = vectors.pop(w)
+            flip = up[v] == w
             if child is None:  # a black leaf
-                child = _edge_factors(k, w in flipped, L, cap, order) if k else [[0] + [1] * cap]
+                child = _edge_factors(k, flip, L, cap, order) if k else [[0] + [1] * cap]
             elif k:
-                factors = _edge_factors(k, w in flipped, L, cap, order)
+                factors = _edge_factors(k, flip, L, cap, order)
                 child = _product(child, factors, order, cap, pointwise=True)
             rows = child if rows is None else _product(rows, child, order, cap)
         if rows is None:
@@ -173,7 +177,7 @@ def zeta_tree(t: Tree, M: int) -> object:
     if M < len(t.black):  # no such tuple
         return Rat(0)
     L = lcm(*range(1, M + 1))
-    rows = _tree_rows(t, t.root, t.black, frozenset(), M, L, 1)
+    rows = _tree_rows(t, t.root, t.black, M, L, 1)
     return Rat(rows[0][M], L ** _index_weight(t))
 
 
@@ -203,9 +207,7 @@ def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
     L = lcm(*range(1, M))
     totals = [0] * order
     for u in us:
-        # the edges whose summand set contains u lead from u up to the old root
-        flipped = frozenset(t.root_path(u)[1:])
-        rows = _tree_rows(t, u, t.black - {u}, flipped, M - 1, L, order)
+        rows = _tree_rows(t, u, t.black - {u}, M - 1, L, order)
         for d, r in enumerate(rows):
             totals[d] += sum(r[1:])
     K = _index_weight(t)

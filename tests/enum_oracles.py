@@ -148,7 +148,9 @@ def symmetrization_reference(t: Tree, order: int) -> list:
     """
     out = []
     for v in sorted(t.black):
-        path = t.root_path(v)
+        path = [v]
+        while t.parent[path[-1]] is not None:
+            path.append(t.parent[path[-1]])
         steps = [frozenset(e) for e in zip(path, path[1:])]
         ks = tuple(t.adj[a][b] for a, b in zip(path, path[1:]))
         for bumped, d, c in bumps(ks, order):

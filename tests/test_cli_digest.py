@@ -18,3 +18,9 @@ def test_invocations_cover_every_command_and_suite():
     for name in list(_COMMANDS) + ["verify"]:
         runs = [argv for argv in argvs if argv[0] == name]
         assert any("--json" in argv for argv in runs) and any("--json" not in argv for argv in runs)
+
+
+def test_invocations_cover_white_roots():
+    argvs = cli_digest.invocations()
+    for name in ("zeta-tree", "zeta-shat"):
+        assert [name, "--tree", "w(1:b(),2:b())"] in [argv[:3] for argv in argvs]

@@ -147,28 +147,10 @@ def test_validate_single_white_vertex():
         Tree.build(0, [], [0], [])
 
 
-# --- paths and essential positivity ------------------------------------------
+# --- reachability and essential positivity -----------------------------------
 
 
-def test_root_path_linear():
-    t = linear_tree(1, 1, 1)
-    leaf = max(t.vertices)
-    path = t.root_path(leaf)
-    assert len(path) == 4 and path[0] == leaf and path[-1] == t.root
-    assert all(t.parent[a] == b for a, b in zip(path, path[1:]))
-    assert t.root_path(t.root) == [t.root]
-
-
-def test_root_path_star():
-    t = star_tree(1, (1, 1))
-    leaves = sorted(v for v in t.black if v != t.root)
-    assert [len(t.root_path(v)) for v in leaves] == [3, 3]
-    assert t.root_path(leaves[0])[1:] == t.root_path(leaves[1])[1:]
-    with pytest.raises(UnknownVertex):
-        t.root_path(99)
-
-
-def test_root_path_of_an_unreachable_vertex():
+def test_build_rejects_an_unreachable_vertex():
     # vertex 1 hangs off no path to the root; with one edge too few, the
     # edge count is checked first
     with pytest.raises(NotATree):

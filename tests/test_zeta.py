@@ -185,6 +185,9 @@ def test_oracles_match_enumeration():
     rng = random.Random(0)
     trees = builtin_catalog() + harvestable_catalog()
     trees += [random_tree(rng) for _ in range(40)]
+    # white roots, which add no value of their own to the total at the root
+    white = ("w(1:b(),2:b())", "w(0:b(),1:b(),1:b())", "w(1:w(1:b(),1:b()),2:b())")
+    trees += [parse_tree(s) for s in white]
     for t in trees:
         for M in range(0, 9):
             assert_matches_enumeration(t, M)

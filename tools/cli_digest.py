@@ -6,12 +6,13 @@ Run from the root of a checkout, it imports `zetaforest` from that
 checkout's ``src`` and calls `zetaforest.cli.main` in-process, with
 ``ZF_T_ORDER`` unset, on every invocation of `invocations()`: each
 `verify` suite at ``--t-order 3 -M 10``; each value command on the DSL of
-every builtin and harvestable catalog tree, or on every index of weight at
-most 4, at t-orders 1-4 and ``-M 6`` where the command takes them; and a
-few invalid inputs.  Each runs as text and with ``--json``.  It prints one
-sha256 per command over the (argv, exit code, stdout, stderr) of its runs,
-then one over all runs, so two checkouts with the same total gave the same
-bytes and exit codes everywhere.
+every builtin and harvestable catalog tree and of three white-rooted trees,
+or on every index of weight at most 4, at t-orders 1-4 and ``-M 6`` where
+the command takes them; and a few invalid inputs.  Each runs as text and
+with ``--json``.  It prints one sha256 per command over the (argv, exit
+code, stdout, stderr) of its runs, then one over all runs, so two
+checkouts with the same total gave the same bytes and exit codes
+everywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from pathlib import Path
 VERIFY_ARGS = ["--t-order", "3", "-M", "10"]
 M_ARGS = ["-M", "6"]
 T_ORDERS = (1, 2, 3, 4)
+# no catalog tree has a white root; `w`, `harvest` and the tree maps reject them
+WHITE_ROOTS = ["w(1:b(),2:b())", "w(0:b(),1:b(),1:b())", "w(1:w(1:b(),1:b()),2:b())"]
 INVALID = [
     ["zeta", "--index", "1,0", "-M", "3"],
     ["phi-hat", "--index", "2", "--t-order", "0"],
@@ -48,7 +51,7 @@ def invocations() -> list:
     from zetaforest.verify import SUITE_NAMES
 
     inputs = {
-        "tree": [t.key for t in builtin_catalog() + harvestable_catalog()],
+        "tree": [t.key for t in builtin_catalog() + harvestable_catalog()] + WHITE_ROOTS,
         "index": [",".join(map(str, k)) for k in all_indices(4)],
     }
     out = [["verify", "--suite", name, *VERIFY_ARGS] for name in SUITE_NAMES]
