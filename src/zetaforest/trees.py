@@ -13,14 +13,17 @@ rendered sorted by (edge index, child encoding), so two trees are isomorphic
 
 Every terminal vertex must be black; a vertex of degree <= 1 counts as a
 terminal, so the single-vertex tree must be black (it is the unit of the
-glue-at-the-roots product).  `Tree.build` checks all of this, so a tree is
-valid once it exists and no operation on it checks its structure again.
+glue-at-the-roots product).  `Tree.build` checks all of this, and
+`parse_tree` checks the one rule its grammar leaves open, that terminals are
+black, so a tree is valid once it exists and no operation on it checks its
+structure again.
 
 The tree-level symmetrization re-roots its input at every black vertex with
 bumped path indices.  A term is an isomorphism class, named by its key:
 `cap_phi_hat` keys every term in one walk down the input, where each vertex
 hands its children the encodings of what lies above them, so a shared path
-prefix is encoded once and each term costs one encoding of its new root.
+prefix is encoded once and each term costs one encoding of its new root,
+joined from the term's new child and two strings per sibling slot.
 `symmetrization_terms` parses its trees back from those keys.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .combo import Combo, accumulate
 from .errors import (
@@ -186,10 +189,7 @@ class Tree:
             raise NotATree(f"{len(verts)} vertices but {len(self.edges)} edges")
         if len(self.parent) != len(verts):
             raise NotConnected("not all vertices are reachable from the root")
-        adj = self.adj
-        for v in sorted(self.white):
-            if len(adj[v]) <= 1:
-                raise TerminalNotBlack(f"terminal vertex {v} is white")
+        _check_terminals(self.white, self.degree)
 
     def change_root(self, v: int) -> "Tree":
         if v not in self.vertices:
@@ -205,6 +205,14 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree({self.key})"
+
+
+def _check_terminals(white: Iterable[int], degree: Callable[[int], int]) -> None:
+    """Raise TerminalNotBlack for the least white vertex of degree <= 1,
+    a terminal; `validate` and `parse_tree` share this rule."""
+    for v in sorted(white):
+        if degree(v) <= 1:
+            raise TerminalNotBlack(f"terminal vertex {v} is white")
 
 
 def unit_tree() -> Tree:
@@ -393,16 +401,6 @@ class TreeCombo(Combo):
         }
 
 
-def _hang(head: str, pairs: list, items: list, k, s) -> str:
-    """The encoding opened by `head` with the children `items`, whose sorted
-    (index, DSL) pairs are `pairs`, and the DSL s through index k unless s
-    is None."""
-    if s is not None:
-        j = bisect(pairs, (k, s))
-        items = items[:j] + [f"{k}:{s}"] + items[j:]
-    return head + ",".join(items) + ")"
-
-
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: `t` re-rooted at each black v, the
     indices ks of the root-to-v path raised by a bump vector l with
@@ -410,14 +408,18 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
 
     One walk down the parent map keeps, per vertex a, entries (k, s, degree,
     coefficient) for the part of `t` outside a's subtree, encoded as s and
-    entering a through index k.  The root has one empty entry, from
-    `bumps((), order)`, which also rejects an order below 1.  A black a adds
-    each entry's key, a's encoding with s hung through k, to its degree's
-    row.  A child's entries are a's hung among a's other children, times the
-    bumps of the child's edge; per-edge signs and b-binomials multiply to the
-    path's.  So a shared path prefix is encoded once, each entry or term
-    costs one encoding, O(V) characters, nothing recurses and no tree is
-    built.
+    entering a through index k.  The root has one entry, which hangs
+    nothing, from `bumps((), order)`, which also rejects an order below 1.
+    a groups its entries by slot: where "k:s" goes among its children,
+    sorted by (index, DSL).  Leaving out one child or none, a slot splits
+    the rest of a's encoding into a prefix and a suffix, built once for the
+    whole group, and an entry's encoding is prefix + "k:s" + suffix.  With
+    none left out, a black a adds that encoding, its term's key, to its
+    degree's row; with child u left out, the encoding is s of u's entries,
+    one per bump of u's edge, each edge index's bumps expanded once per
+    call.  Per-edge signs and b-binomials multiply to the path's.  So a
+    shared path prefix is encoded once, each entry or term costs one
+    encoding, O(V) characters, nothing recurses and no tree is built.
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
@@ -426,25 +428,45 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     kids: dict[int, list] = {}
     t._canonical(kids)
     rows: list[dict] = [{} for _ in range(order)]
+    fans: dict[int, list] = {}  # edge index -> its bumps, by degree
     above = {t.root: [(None, None, d, c) for _, d, c in bumps((), order)]}
     for a in t.parent:  # every vertex after its parent
-        entries = above.pop(a)
-        head = "b(" if a in t.black else "w("
         pairs = [(k, e) for k, e, _ in kids[a]]
         items = [f"{k}:{e}" for k, e in pairs]
-        if a in t.black:
-            for k, s, d, c in entries:
-                accumulate(rows[d], _hang(head, pairs, items, k, s), c)
-        for i, (ku, _, u) in enumerate(kids[a]):
-            rest, rest_items = pairs[:i] + pairs[i + 1 :], items[:i] + items[i + 1 :]
-            fan = list(bumps((ku,), order))  # by degree
-            out = above[u] = []
-            for k, s, d, c in entries:
-                su = _hang(head, rest, rest_items, k, s)
-                for (kb,), db, cb in fan:
-                    if d + db >= order:
-                        break
-                    out.append((kb, su, d + db, c * cb))
+        head = "b(" if a in t.black else "w("
+        slots: dict[int, list] = {}  # slot -> its entries as ("k:s", degree, coefficient)
+        for k, s, d, c in above.pop(a):
+            if s is None:  # the root's entry hangs nothing: slot -1
+                slots.setdefault(-1, []).append(("", d, c))
+            else:
+                slots.setdefault(bisect(pairs, (k, s)), []).append((f"{k}:{s}", d, c))
+        m = len(pairs)
+        for i in range(m + (a in t.black)):  # the child left out; i == m: none
+            rest = items[:i] + items[i + 1 :]
+            if i < m:
+                ku, _, u = kids[a][i]
+                fan = fans.get(ku)
+                if fan is None:
+                    fan = fans[ku] = list(bumps((ku,), order))
+                out = above[u] = []
+            for j, group in slots.items():
+                j -= i < j  # the slot among the rest
+                if j < 0:
+                    pre, suf = head + ",".join(rest) + ")", ""
+                else:
+                    left, right = ",".join(rest[:j]), ",".join(rest[j:])
+                    pre = head + left + "," if left else head
+                    suf = "," + right + ")" if right else ")"
+                if i == m:
+                    for hang, d, c in group:
+                        accumulate(rows[d], pre + hang + suf, c)
+                    continue
+                for hang, d, c in group:
+                    s = pre + hang + suf
+                    for (kb,), db, cb in fan:
+                        if d + db >= order:
+                            break
+                        out.append((kb, s, d + db, c * cb))
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 
@@ -463,77 +485,84 @@ def cap_phi(t: Tree) -> TreeCombo:
 
 
 def parse_tree(s: str) -> Tree:
-    """Parse the tree DSL into a validated tree.
+    """Parse the tree DSL into a valid tree.
 
     One left-to-right scan with an explicit stack of open vertices, so the
     nesting depth is not bounded by the recursion limit.  Vertex ids count
-    up in the order the vertices open.
+    up in the order the vertices open, and each vertex but the first hangs
+    from the open one by one edge with a decimal index.  So the grammar
+    alone makes the result connected, with one edge fewer than vertices, no
+    loop or parallel edge and no negative index, and the one rule left to
+    check, after the whole input has parsed, is that terminals are black.
     """
-    pos = 0
-    n = len(s)
-    black: set[int] = set()
-    white: set[int] = set()
+    pos, n = 0, len(s)
+    black: list[int] = []
+    white: list[int] = []
+    degree: list[int] = []  # by vertex id
     edges: list[tuple[int, int, int]] = []
     stack: list[int] = []  # vertices whose ")" is still to come
-
-    def skip() -> None:
-        nonlocal pos
+    k = 0  # index of the edge from stack[-1] to the next vertex
+    while True:
         while pos < n and s[pos].isspace():
             pos += 1
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip()
-        if pos >= n or s[pos] != ch:
-            raise TreeSyntaxError(f"expected {ch!r}", pos)
+        if pos >= n or s[pos] not in "bw":
+            raise TreeSyntaxError("expected color 'b' or 'w'", pos)
+        vid = len(degree)
+        (black if s[pos] == "b" else white).append(vid)
+        if stack:
+            edges.append((stack[-1], vid, k))
+            degree[stack[-1]] += 1
+            degree.append(1)
+        else:
+            degree.append(0)
         pos += 1
-
-    def nat() -> int:
-        nonlocal pos
-        skip()
+        while pos < n and s[pos].isspace():
+            pos += 1
+        if pos >= n or s[pos] != "(":
+            raise TreeSyntaxError("expected '('", pos)
+        pos += 1
+        while pos < n and s[pos].isspace():
+            pos += 1
+        if pos < n and s[pos] == ")":
+            pos += 1
+            # close vertices until one goes on with a further edge
+            while stack:
+                while pos < n and s[pos].isspace():
+                    pos += 1
+                if pos < n and s[pos] == ",":
+                    pos += 1
+                    break
+                if pos >= n or s[pos] != ")":
+                    raise TreeSyntaxError("expected ')'", pos)
+                pos += 1
+                stack.pop()
+            else:
+                break
+        else:
+            stack.append(vid)
+        while pos < n and s[pos].isspace():
+            pos += 1
         start = pos
         while pos < n and s[pos].isdecimal():
             pos += 1
         if start == pos:
             raise TreeSyntaxError("expected an edge index", pos)
         try:
-            return int(s[start:pos])
+            k = int(s[start:pos])
         except ValueError:  # more digits than int() converts
             raise TreeSyntaxError(f"edge index of {pos - start} digits is too long", start) from None
-
-    k = 0  # index of the edge from stack[-1] to the next vertex
-    while True:
-        skip()
-        if pos >= n or s[pos] not in "bw":
-            raise TreeSyntaxError("expected color 'b' or 'w'", pos)
-        vid = len(black) + len(white)
-        (black if s[pos] == "b" else white).add(vid)
-        if stack:
-            edges.append((stack[-1], vid, k))
-        pos += 1
-        expect("(")
-        skip()
-        if pos < n and s[pos] == ")":
+        while pos < n and s[pos].isspace():
             pos += 1
-            # close vertices until one goes on with a further edge
-            while stack:
-                skip()
-                if pos < n and s[pos] == ",":
-                    pos += 1
-                    break
-                expect(")")
-                stack.pop()
-            else:
-                break
-        else:
-            stack.append(vid)
-        k = nat()
-        expect(":")
+        if pos >= n or s[pos] != ":":
+            raise TreeSyntaxError("expected ':'", pos)
+        pos += 1
 
-    skip()
+    while pos < n and s[pos].isspace():
+        pos += 1
     if pos != n:
         raise TreeSyntaxError("unexpected trailing input", pos)
-    return Tree.build(0, black, white, edges)
+    _check_terminals(white, degree.__getitem__)
+    return Tree._unchecked(0, black, white, edges)
 
 
 def tree_to_json(t: Tree) -> dict:
