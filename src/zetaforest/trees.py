@@ -254,6 +254,15 @@ def is_essentially_positive(t: Tree) -> bool:
     return _zero_blocks(t) is not None
 
 
+def _positive_blocks(t: Tree) -> dict:
+    """`_zero_blocks(t)` of an essentially positive `t`; raises
+    NotEssentiallyPositive, with the key and the reason, for any other."""
+    block = _zero_blocks(t)
+    if block is None:
+        raise NotEssentiallyPositive(f"{t.key}: two black vertices are joined by 0-edges")
+    return block
+
+
 def circ_product(a: Tree, b: Tree) -> Tree:
     """Glue the two trees at their (black) roots."""
     for t in (a, b):
@@ -270,29 +279,31 @@ def circ_product(a: Tree, b: Tree) -> Tree:
     return Tree._unchecked(a.root, black, white, edges)
 
 
+def _harvest_fault(t: Tree) -> str | None:
+    """The first harvestability rule that `t` breaks, in words, or None."""
+    if t.root not in t.black:
+        return "the root is white"
+    if t.degree(t.root) > 1:
+        return "the root is not terminal"
+    if any(t.degree(v) < 3 for v in t.white):
+        return "a white vertex has fewer than 3 edges"
+    if any(t.degree(v) > 2 for v in t.black):
+        return "a black vertex has more than 2 edges"
+    zero = [(u, v) for u, v, k in t.edges if k == 0]
+    if any(u in t.black and v in t.black for u, v in zero):
+        return "a 0-edge joins two black vertices"
+    par = t.parent
+    for u, v in zero:
+        child, parent = (u, v) if par[u] == v else (v, u)
+        if parent in t.white and child in t.black:
+            return "a 0-edge joins a white vertex to its black child"
+    return None
+
+
 def is_harvestable(t: Tree) -> bool:
     """Terminal black root, branched whites, unbranched blacks, and positivity
     at black children of whites and between adjacent blacks."""
-    if t.root not in t.black:
-        return False
-    if t.degree(t.root) > 1:
-        return False
-    for v in t.white:
-        if t.degree(v) < 3:
-            return False
-    for v in t.black:
-        if t.degree(v) > 2:
-            return False
-    par = t.parent
-    for u, v, k in t.edges:
-        if k > 0:
-            continue
-        if u in t.black and v in t.black:
-            return False
-        child, parent = (u, v) if par[u] == v else (v, u)
-        if parent in t.white and child in t.black:
-            return False
-    return True
+    return _harvest_fault(t) is None
 
 
 def harvestable_form(t: Tree) -> Tree:
@@ -313,9 +324,7 @@ def harvestable_form(t: Tree) -> Tree:
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
-    block = _zero_blocks(t)
-    if block is None:
-        raise NotEssentiallyPositive(t.key)
+    block = _positive_blocks(t)
     adj: dict[int, dict[int, int]] = {v: {} for v in block.values()}
     for u, v, k in t.edges:
         if k:
@@ -354,8 +363,9 @@ def w_word(t: Tree) -> HElem:
     the closed stem below the terminal root, or 1 for the single vertex.  The
     fold is O(V) steps; the shuffles at white vertices dominate.
     """
-    if not is_harvestable(t):
-        raise NotHarvestable(t.key)
+    fault = _harvest_fault(t)
+    if fault is not None:
+        raise NotHarvestable(f"{t.key}: {fault}")
     stems: dict[int, list] = {v: [] for v in t.parent}
 
     def close(head: HElem, run: list) -> HElem:
@@ -423,8 +433,7 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
-    if not is_essentially_positive(t):
-        raise NotEssentiallyPositive(t.key)
+    _positive_blocks(t)
     kids: dict[int, list] = {}
     t._canonical(kids)
     rows: list[dict] = [{} for _ in range(order)]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,77 @@ def test_parse_tree_errors():
         parse_tree("b(1:b()")
     with pytest.raises(TreeSyntaxError):
         parse_tree("b()b()")
+
+
+# every branch of the scan: input, then the message and position it reports
+PARSE_ERRORS = [
+    ("", "expected color 'b' or 'w'", 0),
+    ("b(1:)", "expected color 'b' or 'w'", 4),
+    ("b(1:x())", "expected color 'b' or 'w'", 4),
+    ("b", "expected '('", 1),
+    ("b 1:b()", "expected '('", 2),
+    ("b(:b())", "expected an edge index", 2),
+    ("b(1:b(),", "expected an edge index", 8),
+    ("b(²:b())", "expected an edge index", 2),
+    ("b(1b())", "expected ':'", 3),
+    ("b(1 b())", "expected ':'", 4),
+    ("b(1:b()", "expected ')'", 7),
+    ("b(1:b();", "expected ')'", 7),
+    ("b()b()", "unexpected trailing input", 3),
+    ("b(1:b()) )", "unexpected trailing input", 9),
+    ("b(1:w())x", "unexpected trailing input", 8),  # a syntax error beats a white terminal
+    ("b(" + "1" * 5000 + ":b())", "edge index of 5000 digits is too long", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_parse_tree_error_table(text, message, position):
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_tree(text)
+    assert (str(err.value), err.value.position) == (f"{message} at position {position}", position)
+
+
+def test_parse_tree_whitespace_and_digits():
+    key = "b(1:b(),2:w(1:b(),1:b()))"
+    assert parse_tree(" b ( 1 : b ( ) , 2 : w ( 1 : b ( ) , 1 : b ( ) ) ) ").key == key
+    assert parse_tree(key + " \t\n").key == key
+    # Unicode whitespace is whitespace, and a Unicode decimal digit is a digit
+    assert parse_tree("\u3000b(\u00a01\u2003:b()\u2029,2:w(1:b(),1:b()))\u3000").key == key
+    assert parse_tree("b(\u0661:b(),\u0662:w(1:b(),1:b()))").key == key
+
+
+def test_parse_tree_reports_the_first_white_terminal():
+    for text, vertex in (("b(1:w(),1:w())", 1), ("w()", 0), ("b(1:w(1:b()),2:w())", 3)):
+        with pytest.raises(TerminalNotBlack) as err:
+            parse_tree(text)
+        assert str(err.value) == f"terminal vertex {vertex} is white"
+
+
+def _check_parse(s: str) -> bool:
+    """Whether `s` parses; if it does, to a valid tree whose key parses back
+    to itself, and if not, with a ZetaForestError."""
+    try:
+        t = parse_tree(s)
+    except ZetaForestError:
+        return False
+    assert Tree.build(t.root, t.black, t.white, t.edges) == t
+    assert parse_tree(t.key).key == t.key
+    return True
+
+
+def test_parse_tree_on_seeded_mutations():
+    # up to three edits of a catalog key; the grammar alone must make a tree
+    rng = random.Random(21)
+    keys = [t.key for t in builtin_catalog()]
+    alphabet = "bw():, 0129²١\t\u3000"
+    parsed = 0
+    for _ in range(3000):
+        s = rng.choice(keys)
+        for _ in range(rng.randint(1, 3)):
+            pos, ch = rng.randint(0, len(s)), rng.choice(alphabet)
+            s = rng.choice([s[:pos] + ch + s[pos:], s[:pos] + ch + s[pos + 1:], s[:pos] + s[pos + 1:]])
+        parsed += _check_parse(s)
+    assert parsed > 100
 
 
 def test_round_trip_catalog():
@@ -153,6 +225,16 @@ def test_input_error_exit_code(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "w", "--tree", "b(1:b(),1:b())")
     assert code == 2  # not harvestable
+
+
+def test_tree_errors_say_what_is_wrong(capsys):
+    # the key, then the reason; stdout stays empty and the exit code is 2
+    for argv, message in (
+        (["w", "--tree", "b(1:b(),1:b())"], "b(1:b(),1:b()): the root is not terminal"),
+        (["cap-phi", "--tree", "b(0:b())"], "b(0:b()): two black vertices are joined by 0-edges"),
+    ):
+        for form in ([], ["--json"]):
+            assert run_cli(capsys, *argv, *form) == (2, "", f"error: {message}\n")
 
 
 def test_unknown_suite_exit_code(capsys):
@@ -398,9 +480,6 @@ def _mutations():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(DSL_TEXT, _mutations()))
 def test_malformed_dsl_fuzz(s):
-    try:
-        assert isinstance(parse_tree(s), Tree)
-    except ZetaForestError:
-        pass
+    _check_parse(s)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["harvest", "--tree", s]) in (0, 2)

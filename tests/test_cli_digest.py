@@ -2,6 +2,8 @@ import importlib.util
 from pathlib import Path
 
 from zetaforest.cli import _COMMANDS
+from zetaforest.errors import TerminalNotBlack, TreeSyntaxError
+from zetaforest.trees import parse_tree
 from zetaforest.verify import SUITE_NAMES
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
@@ -24,3 +26,18 @@ def test_invocations_cover_white_roots():
     argvs = cli_digest.invocations()
     for name in ("zeta-tree", "zeta-shat"):
         assert [name, "--tree", "w(1:b(),2:b())"] in [argv[:3] for argv in argvs]
+
+
+def test_invalid_inputs_reach_every_parser_error():
+    faults = set()
+    for argv in cli_digest.INVALID:
+        if "--tree" in argv:
+            try:
+                parse_tree(argv[argv.index("--tree") + 1])
+            except (TreeSyntaxError, TerminalNotBlack) as err:
+                faults.add(str(err).partition(" at position")[0])
+    assert faults == {
+        "expected color 'b' or 'w'", "expected '('", "expected an edge index", "expected ':'",
+        "expected ')'", "unexpected trailing input", "edge index of 5000 digits is too long",
+        "terminal vertex 1 is white",
+    }

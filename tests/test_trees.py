@@ -283,6 +283,12 @@ def test_harvestable_form_unit():
 def test_harvestable_form_requires_essential_positivity():
     with pytest.raises(NotEssentiallyPositive):
         harvestable_form(linear_tree(0, 1))
+    # a block of 0-edges through a white vertex, named by key and reason
+    t = parse_tree("b(1:b(),2:w(0:b(),0:b(),1:b()))")
+    for fails in (harvestable_form, lambda t: cap_phi_hat(t, 2)):
+        with pytest.raises(NotEssentiallyPositive) as err:
+            fails(t)
+        assert str(err.value) == f"{t.key}: two black vertices are joined by 0-edges"
 
 
 def test_harvestable_form_rejects_white_terminal():
@@ -387,6 +393,20 @@ def test_w_word_star():
 def test_w_word_rejects_non_harvestable():
     with pytest.raises(NotHarvestable):
         w_word(black_fork_tree(1, (1, 1)))
+    # each harvestability rule, in the order they are checked, and its words
+    for key, fault in (
+        ("w(1:b(),1:b())", "the root is white"),
+        ("b(1:b(),1:b())", "the root is not terminal"),
+        ("b(1:w(1:b()))", "a white vertex has fewer than 3 edges"),
+        ("b(1:b(1:b(),1:b()))", "a black vertex has more than 2 edges"),
+        ("b(1:b(0:b()))", "a 0-edge joins two black vertices"),
+        ("b(1:w(0:b(),1:b(),1:b()))", "a 0-edge joins a white vertex to its black child"),
+    ):
+        t = parse_tree(key)
+        assert not is_harvestable(t)
+        with pytest.raises(NotHarvestable) as err:
+            w_word(t)
+        assert str(err.value) == f"{key}: {fault}"
 
 
 # --- tree-level symmetrization ---------------------------------------------------
@@ -554,6 +574,45 @@ def test_symmetrization_on_a_wide_star():
     assert n == 1 + 200 * 3
     assert _with_low_recursion_limit(lambda: _check_keys(t, 3)) == 4 + 3 + 3
     assert len(cap_phi_hat(t, 3).coeffs[0]) == 4
+
+
+def _spider(white_center: bool, legs: list) -> Tree:
+    """A center with one path of black vertices per leg, each leg its edge
+    indices read outward from the center."""
+    black, edges, n = [] if white_center else [0], [], 1
+    for leg in legs:
+        prev = 0
+        for k in leg:
+            black.append(n)
+            edges.append((prev, n, k))
+            prev, n = n, n + 1
+    return Tree.build(0, black, [0] if white_center else [], edges)
+
+
+# 6-10 children at one vertex, many of them equal (index, subtree) pairs, so
+# that an entry from above ties with its siblings in the sorted child list
+HIGH_DEGREE = [
+    _spider(False, [(1,), (1,), (2,), (1,), (2,), (1,)]),
+    _spider(False, [(1,)] * 10),
+    _spider(False, [(1,), (1,), (1, 2), (1, 2), (2, 1, 1), (1,), (2,)]),
+    _spider(True, [(0,), (1,), (1,), (2, 1), (2, 1), (1, 1, 2), (1,)]),
+    _spider(False, [(1, 1), (1, 1), (1,), (1, 1), (2,), (1, 1), (1,), (1, 2), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_symmetrization_at_high_degree(order):
+    # rooted at the center and at every leg's first and last vertex: the
+    # center's children then take entries from above among equal siblings
+    checked = 0
+    for t in HIGH_DEGREE:
+        assert 6 <= t.degree(0) <= 10
+        for root in sorted(v for v in t.black if v == 0 or t.degree(v) == 1 or 0 in t.adj[v]):
+            s = t.change_root(root)
+            assert _check_against_reference(s, order) >= len(s.black)
+            _check_keys(s, order)
+            checked += 1
+    assert checked > 40
 
 
 # --- combinations ---------------------------------------------------------------

@@ -8,11 +8,11 @@ checkout's ``src`` and calls `zetaforest.cli.main` in-process, with
 `verify` suite at ``--t-order 3 -M 10``; each value command on the DSL of
 every builtin and harvestable catalog tree and of three white-rooted trees,
 or on every index of weight at most 4, at t-orders 1-4 and ``-M 6`` where
-the command takes them; and a few invalid inputs.  Each runs as text and
-with ``--json``.  It prints one sha256 per command over the (argv, exit
-code, stdout, stderr) of its runs, then one over all runs, so two
-checkouts with the same total gave the same bytes and exit codes
-everywhere.
+the command takes them; and a few invalid inputs, among them one tree per
+syntax error of the tree parser.  Each runs as text and with ``--json``.
+It prints one sha256 per command over the (argv, exit code, stdout,
+stderr) of its runs, then one over all runs, so two checkouts with the
+same total gave the same bytes and exit codes everywhere.
 """
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ INVALID = [
     ["cap-phi-hat", "--tree", "w(1:b(),1:b())", "--t-order", "2"],
     ["cap-phi"],
     ["verify", "--suite", "nope"],
+    # the tree parser: each syntax error, whitespace, and the first white terminal
+    ["harvest", "--tree", "b(1:)"],
+    ["harvest", "--tree", "b 1:b()"],
+    ["harvest", "--tree", "b(:b())"],
+    ["harvest", "--tree", "b(1b())"],
+    ["harvest", "--tree", "b(1:b();"],
+    ["harvest", "--tree", "b()b()"],
+    ["harvest", "--tree", "b(" + "1" * 5000 + ":b())"],
+    ["w", "--tree", " b ( 2 : b ( 1 : b ( ) ) ) \t"],
+    ["zeta-tree", "--tree", "b(1:w(),1:w())", "-M", "3"],
+    ["cap-phi", "--tree", "b(0:b())"],
 ]
 
 
