@@ -4,8 +4,11 @@ A combination maps keys to nonzero coefficients, each an ``int`` or a
 ``Rat``: a coefficient or scalar that is a plain ``int`` is kept as it is,
 and any other value (``bool`` included) becomes a ``Rat``.  The word and
 tree layers build only integer coefficients (multiplicities, signs,
-b-binomials), so they compute in ``int`` arithmetic until a non-integer
-scalar enters; ``int`` with ``Rat`` arithmetic is exact.  The two types
+b-binomials), so they compute in ``int`` arithmetic.  Where a rational
+scalar p/q meets them, one ``Rat`` is built per output term: scalar ``*``
+makes ``Rat(c*p, q)`` from each integer coefficient c, and
+``symmetrize.phi_hat`` sums its images in integers and divides each output
+term once.  ``int`` with ``Rat`` arithmetic is exact.  The two types
 compare, hash and render alike (``3 == Rat(3)``, ``str(Rat(3)) == "3"``), so no
 output depends on which one a coefficient is.  ``accumulate`` is the one
 place where like terms merge and cancelled terms drop out; every sum that can
@@ -101,8 +104,12 @@ class Combo:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Combo":
-        s = scalar if type(scalar) is int else Rat(scalar)
-        return self._wrap({k: c * s for k, c in self._terms.items()} if s else {})
+        if type(scalar) is int:
+            return self._wrap({k: c * scalar for k, c in self._terms.items()} if scalar else {})
+        s = Rat(scalar)
+        p, q = s.numerator, s.denominator
+        return self._wrap({k: Rat(c * p, q) if type(c) is int else c * s
+                           for k, c in self._terms.items()} if p else {})
 
     __rmul__ = __mul__
 

@@ -2,10 +2,13 @@
 
 All arithmetic in this package is exact.  ``Rat`` is gmpy2's ``mpq`` when
 available and falls back to the stdlib ``fractions.Fraction`` otherwise.
-The oracles work in plain integers and build one ``Rat`` at the end, and
-the coefficients of the symbolic layers (words, symmetrization, trees) stay
-plain ``int`` until a non-integer scalar enters (see ``combo``), so ``Rat``
-arithmetic happens only where a value is not an integer.  Both backends
+The oracles work in plain integers and build one ``Rat`` at the end.  The
+coefficients of the symbolic layers (words, symmetrization, trees) are plain
+``int``; where a non-integer scalar enters them, scalar multiplication and
+``phi_hat`` still compute in ``int`` and build one ``Rat`` per output term
+(see ``combo``), so ``Rat`` arithmetic happens only where a value is not an
+integer.  The code uses only ``numerator``, ``denominator`` and the
+constructor, which both backends share.  Both backends
 render through ``str`` as ``p/q`` in lowest terms with the sign on the
 numerator, and ``p`` when the denominator is 1, as an ``int`` does.
 """

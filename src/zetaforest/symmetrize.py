@@ -14,8 +14,10 @@ in degree wt(l).  phi is the constant term (t = 0).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .indices import bumps
+from .rationals import Rat
 from .series import TSeries
 from .words import HElem, Word, shuffle, z_decompose
 
@@ -32,12 +34,23 @@ def _phi_hat_index(w: Word, order: int) -> TSeries:
 
 
 def phi_hat(a: HElem, order: int) -> TSeries:
-    """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`."""
+    """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`.
+
+    Integer coefficients stay ``int``.  Rational ones are scaled by the lcm
+    D of their denominators, the integer images are summed, and each output
+    term is one ``Rat(v, D)``."""
     rows: list[dict] = [{} for _ in range(order)]
     # grlex order keeps the word-product cache warmer than dict order does
-    for w, c in a.terms():
+    terms = a.terms()
+    rational = any(type(c) is not int for _, c in terms)
+    if rational:  # sum den * a in integers, then divide each output term once
+        den = lcm(*(c.denominator for _, c in terms))
+        terms = [(w, c.numerator * (den // c.denominator)) for w, c in terms]
+    for w, c in terms:
         for row, image in zip(rows, _phi_hat_index(w, order).coeffs):
             image.add_into(row, c)
+    if rational:
+        rows = [{w: Rat(v, den) for w, v in row.items()} for row in rows]
     return TSeries(map(HElem._wrap, rows), order)
 
 

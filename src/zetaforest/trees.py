@@ -77,7 +77,8 @@ class Tree:
     (u, v, k) with index k, which `build` orders as u < v and sorts.
 
     `build` is the public constructor, and it validates.  The positional one
-    is internal, for trees derived from a valid tree, valid by construction.
+    is internal, for trees valid by construction whose edges are already
+    ordered and sorted.
 
     Immutable, equal and hashed by those four fields.  A plain class, not a
     dataclass, so that loading it does not load `dataclasses` and `inspect`;
@@ -571,7 +572,8 @@ def parse_tree(s: str) -> Tree:
     if pos != n:
         raise TreeSyntaxError("unexpected trailing input", pos)
     _check_terminals(white, degree.__getitem__)
-    return Tree._unchecked(0, black, white, edges)
+    edges.sort()  # each edge already runs from the open vertex to a newer one
+    return Tree(0, frozenset(black), frozenset(white), tuple(edges))
 
 
 def tree_to_json(t: Tree) -> dict:

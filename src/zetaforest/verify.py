@@ -4,38 +4,27 @@ Each suite enumerates a deterministic case list (seeded where random), checks
 an exact equality per case, and reports each failure's minimized
 counterexample once: indices are reduced componentwise first, then vertices
 are dropped, as long as the failure persists.
+
+The catalog, tree and oracle layers are imported by the builders and suites
+that call them, so the word suites (btt, t-btt, kaneko) load none of them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from .catalog import (
-    builtin_catalog,
-    harvestable_catalog,
-    random_harvestable,
-    symmetric_hybrid_tree,
-    unit_tree,
-)
 from .errors import BadIndex, BadOrder, BadRunConfig, InvalidTree, UnknownSuite
 from .indices import Tuple_, all_indices, bumps, is_index, weight
 from .rationals import Rat
 from .series import DEFAULT_ORDER, TSeries
 from .symmetrize import phi, phi_hat
-from .trees import (
-    Tree,
-    cap_phi,
-    circ_h,
-    harvestable_form,
-    is_essentially_positive,
-    is_harvestable,
-    symmetrization_terms,
-    w_word,
-)
 from .words import HElem, harmonic, right_mul_x_pow, shuffle, shuffle_all
-from .zeta import z_m_eval, z_m_series, zeta_shat_tree, zeta_tree
+
+if TYPE_CHECKING:
+    from .trees import Tree
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -163,6 +152,8 @@ def kaneko_rhs(k: Tuple_, l: Tuple_, order: int) -> TSeries:
 
 
 def main_lhs(t: Tree, order: int) -> TSeries:
+    from .trees import harvestable_form, w_word
+
     return phi_hat(w_word(harvestable_form(t)), order)
 
 
@@ -170,12 +161,16 @@ def harvested_terms(t: Tree, order: int) -> list:
     """The terms of `symmetrization_terms`, one per isomorphism class with
     its merged coefficient, each tree replaced by its harvestable form.  They
     do not depend on M, so a sweep over M builds them once per tree."""
+    from .trees import harvestable_form, symmetrization_terms
+
     return [(d, c, harvestable_form(tree)) for d, c, tree in symmetrization_terms(t, order)]
 
 
 def _harvested_words(terms: list, order: int) -> TSeries:
     """The words of harvested terms, weighted by their coefficients, one
     t-degree each."""
+    from .trees import w_word
+
     rows: list[dict] = [{} for _ in range(order)]
     for degree, coeff, hf in terms:
         w_word(hf).add_into(rows[degree], coeff)
@@ -197,6 +192,8 @@ diagram_rhs = main_rhs
 def root_change_rhs(terms: list, M: int, order: int) -> TSeries:
     """Tree sums at M of the harvested terms of a tree, one t-degree each;
     `terms` comes from `harvested_terms(t, order)`."""
+    from .zeta import zeta_tree
+
     rows = [Rat(0) for _ in range(order)]
     for degree, coeff, hf in terms:
         rows[degree] += coeff * zeta_tree(hf, M)
@@ -222,6 +219,8 @@ def _index_shrinks(ks: Tuple_, rebuild: Callable[[Tuple_], Optional[Case]]) -> l
 
 
 def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
+    from .trees import Tree, is_essentially_positive
+
     out = []
     for u, v, k in t.edges:
         if k >= 1:
@@ -313,6 +312,9 @@ def _suite_kaneko(cfg: RunConfig) -> Iterator[Case]:
 
 
 def _suite_vanish(cfg: RunConfig) -> Iterator[Case]:
+    from .catalog import symmetric_hybrid_tree
+    from .trees import cap_phi, harvestable_form, w_word
+
     del cfg
 
     def make(k1: int, k2: int, l: int) -> Case:
@@ -336,6 +338,10 @@ def _suite_vanish(cfg: RunConfig) -> Iterator[Case]:
 
 
 def _suite_root_change(cfg: RunConfig) -> Iterator[Case]:
+    from .catalog import harvestable_catalog
+    from .trees import harvestable_form
+    from .zeta import zeta_shat_tree
+
     order = cfg.t_order
     trees = [t for t in harvestable_catalog() if len(t.vertices) > 1]
 
@@ -360,6 +366,8 @@ def _suite_root_change(cfg: RunConfig) -> Iterator[Case]:
 def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> Iterator[Case]:
     """One case per essentially positive tree of the builtin catalog with a
     black root, keyed by the tree and shrunk by dropping vertices."""
+    from .catalog import builtin_catalog
+    from .trees import is_essentially_positive
 
     def make(t: Tree) -> Optional[Case]:
         if t.root not in t.black or not is_essentially_positive(t):
@@ -372,6 +380,9 @@ def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> Iterator[Case]:
 
 
 def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
+    from .trees import harvestable_form, is_harvestable
+    from .zeta import zeta_shat_tree, zeta_tree
+
     order = cfg.t_order
 
     def check(t: Tree) -> Optional[str]:
@@ -390,6 +401,8 @@ def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
 
 
 def _suite_main(cfg: RunConfig) -> Iterator[Case]:
+    from .zeta import z_m_series
+
     order = cfg.t_order
 
     def check(t: Tree) -> Optional[str]:
@@ -408,6 +421,8 @@ def _suite_main(cfg: RunConfig) -> Iterator[Case]:
 
 
 def _suite_algebra(cfg: RunConfig) -> Iterator[Case]:
+    from .zeta import z_m_eval
+
     words = [HElem.from_index(k) for k in all_indices(cfg.weight_max)]
     idxs = all_indices(cfg.weight_max)
     unit = HElem.unit()
@@ -470,6 +485,9 @@ def _suite_algebra(cfg: RunConfig) -> Iterator[Case]:
 
 
 def _suite_assoc(cfg: RunConfig) -> Iterator[Case]:
+    from .catalog import random_harvestable, unit_tree
+    from .trees import circ_h
+
     rng = random.Random(cfg.seed)
     unit = unit_tree()
 

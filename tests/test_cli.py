@@ -380,6 +380,15 @@ def test_value_command_imports(argv, absent):
     assert loaded & (absent | {"dataclasses", "inspect"}) == set()
 
 
+@pytest.mark.parametrize("suite", ["btt", "t-btt", "kaneko"])
+def test_word_suites_load_no_tree_layer(suite):
+    # the word suites check phi, phi_hat and shuffles only, so a cold run
+    # loads neither the catalog, nor the trees, nor the oracles
+    loaded = _loaded_by(RUN_MAIN.format(argv=["verify", "--suite", suite, "--t-order", "2"]))
+    assert "zetaforest.verify" in loaded
+    assert loaded & {"zetaforest.catalog", "zetaforest.trees", "zetaforest.zeta"} == set()
+
+
 def test_package_import_loads_no_submodule():
     loaded = _loaded_by("import zetaforest")
     assert {m for m in loaded if m.startswith("zetaforest")} == {"zetaforest"}

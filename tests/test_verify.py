@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforest import verify
+from zetaforest import trees, verify
 from zetaforest.catalog import builtin_catalog, random_tree
 from zetaforest.errors import BadIndex, BadOrder, UnknownSuite
 from zetaforest.series import TSeries
@@ -121,8 +121,8 @@ def test_harvest_failure_is_minimized_to_four_vertices(monkeypatch):
     # a harvestability check wrong from 4 vertices up: every failing catalog
     # tree shrinks, lowering indices and dropping leaves, to a tree whose
     # harvestable form has at least 4 vertices and none of whose shrinks fails
-    right = verify.is_harvestable
-    monkeypatch.setattr(verify, "is_harvestable", lambda t: right(t) and len(t.vertices) < 4)
+    right = trees.is_harvestable
+    monkeypatch.setattr(trees, "is_harvestable", lambda t: right(t) and len(t.vertices) < 4)
     report = run_suite("harvest", RunConfig(t_order=2, m_max=2))
     keys = _failed_keys(report)
     for key, failure in zip(keys, report.failures):
