@@ -7,8 +7,8 @@ coefficients of the symbolic layers (words, symmetrization, trees) are plain
 ``int``; where a non-integer scalar enters them, scalar multiplication and
 ``phi_hat`` still compute in ``int`` and build one ``Rat`` per output term
 (see ``combo``), so ``Rat`` arithmetic happens only where a value is not an
-integer.  The code uses only ``numerator``, ``denominator`` and the
-constructor, which both backends share.  Both backends
+integer.  Those ``Rat`` are built with ``numerator``, ``denominator`` and
+the constructor alone, which both backends share.  Both backends
 render through ``str`` as ``p/q`` in lowest terms with the sign on the
 numerator, and ``p`` when the denominator is 1, as an ``int`` does.
 """

@@ -1,13 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaforest.errors import NotInH1
+from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.symmetrize import _phi_hat_index, phi, phi_hat
-from zetaforest.words import HElem, right_mul_x_pow, shuffle
+from zetaforest.words import HElem, right_mul_x_pow, shuffle, word_from_index
 
 indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+# denominators sharing factors, so their lcm is smaller than their product;
+# denominator 1 gives a Rat equal to an integer
+rationals = st.builds(Rat, st.integers(-12, 12).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 12)))
 
 
 def z(k):
@@ -91,3 +97,36 @@ def test_phi_of_product_small():
     # (-1)^{1+1}, so the image is three times the argument.
     elem = right_mul_x_pow(shuffle(z((1,)), z((1,))), 1)
     assert phi(elem) == 3 * elem
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+@st.composite
+def rational_elems(draw):
+    """y-initial elements with Rat coefficients, sometimes with c*(z_(1,2) +
+    z_(2,1)), whose word yyx cancels in the degree-0 image."""
+    terms = draw(st.dictionaries(indices, rationals, max_size=4))
+    if draw(st.booleans()):
+        c = draw(rationals)
+        terms.update({(1, 2): c, (2, 1): c})
+    return HElem({word_from_index(k): c for k, c in terms.items()})
+
+
+@given(rational_elems())
+@settings(max_examples=60, deadline=None)
+def test_phi_hat_of_rational_input_matches_fraction_sums(a):
+    # the reference sums c * phi_hat(z_w, N) word by word in Fraction
+    for order in range(1, 5):
+        rows = [{} for _ in range(order)]
+        for w, c in a.terms():
+            for row, image in zip(rows, phi_hat(HElem.word(w), order).coeffs):
+                for v, m in image.terms():
+                    row[v] = row.get(v, 0) + _fraction(c) * m
+        got = phi_hat(a, order)
+        for row, coeff in zip(rows, got.coeffs):
+            terms = {v: _fraction(x) for v, x in coeff.terms()}
+            assert 0 not in terms.values()
+            assert terms == {v: x for v, x in row.items() if x}
+

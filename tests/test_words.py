@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -293,6 +294,18 @@ def test_coefficients_are_int_or_rat(a, b, seed):
         assert coeff_types(*words_out) <= {int}
     t = random_tree(random.Random(seed), max_vertices=6, k_cap=2)
     assert coeff_types(cap_phi_hat(t, 3), main_rhs(t, 3)) <= {int}
+
+
+@given(h1_elems, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+@settings(max_examples=60, deadline=None)
+def test_rational_scalar_is_the_per_term_product(a, p, q):
+    s = Rat(p, q)
+    expected = [(w, Fraction(int(c.numerator), int(c.denominator)) * Fraction(p, q))
+                for w, c in a.terms()]
+    for got in (a * s, s * a):
+        assert [(w, Fraction(int(c.numerator), int(c.denominator))) for w, c in got.terms()] == [
+            (w, c) for w, c in expected if c]
+        assert coeff_types(got) <= {Rat}
 
 
 def test_non_integer_scalars_become_rat():
