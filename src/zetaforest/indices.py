@@ -5,11 +5,13 @@ empty index.  Weight is the entry sum, depth the length.
 
 `bumps` is the one t-adic expansion: every map that raises indices by a bump
 vector, with its binomial weight, sign and t-degree, reads all three from it.
+It is also the one index enumerator: the indices of depth d are (1,) * d
+raised by every bump vector, each with weight 1, so `all_indices` reads them
+from it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, prod
 from typing import Iterator
 
@@ -68,29 +70,9 @@ def bumps(ks: Tuple_, order: int) -> Iterator[tuple[Tuple_, int, int]]:
         degree = sum(bumped) - base
 
 
-def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < parts:
-        return
-    # bars-and-stars via combinations of cut points
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
-
-
 def all_indices(max_weight: int) -> list[Tuple_]:
-    """Every index of weight at most `max_weight`, ordered by (weight, entries)."""
-    out: list[Tuple_] = []
-    for w in range(max_weight + 1):
-        for d in range(0 if w == 0 else 1, w + 1):
-            out.extend(positive_compositions(w, d))
-    return out
+    """Every index of weight at most `max_weight`, ordered by (weight, depth,
+    entries): for each depth d, the bumps of (1,) * d below t^(max_weight -
+    d + 1), in lexicographic order, then a stable sort by (weight, depth)."""
+    out = [ks for d in range(max_weight + 1) for ks, _, _ in bumps((1,) * d, max_weight - d + 1)]
+    return sorted(out, key=lambda k: (weight(k), len(k)))

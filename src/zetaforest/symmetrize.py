@@ -36,20 +36,20 @@ def _phi_hat_index(w: Word, order: int) -> TSeries:
 def phi_hat(a: HElem, order: int) -> TSeries:
     """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`.
 
-    Integer coefficients stay ``int``.  Rational ones are scaled by the lcm
-    D of their denominators, the integer images are summed, and each output
-    term is one ``Rat(v, D)``."""
+    One path for every coefficient: each is scaled by the lcm D of all the
+    denominators (an ``int`` has denominator 1), the integer images are
+    summed, and only when D > 1 is each output term one ``Rat(v, D)``.  So
+    integer input, or rational input whose denominators are all 1, gives
+    ``int`` coefficients."""
     rows: list[dict] = [{} for _ in range(order)]
     # grlex order keeps the word-product cache warmer than dict order does
     terms = a.terms()
-    rational = any(type(c) is not int for _, c in terms)
-    if rational:  # sum den * a in integers, then divide each output term once
-        den = lcm(*(c.denominator for _, c in terms))
-        terms = [(w, c.numerator * (den // c.denominator)) for w, c in terms]
+    den = lcm(*(c.denominator for _, c in terms))
     for w, c in terms:
+        scaled = c.numerator * (den // c.denominator)
         for row, image in zip(rows, _phi_hat_index(w, order).coeffs):
-            image.add_into(row, c)
-    if rational:
+            image.add_into(row, scaled)
+    if den > 1:
         rows = [{w: Rat(v, den) for w, v in row.items()} for row in rows]
     return TSeries(map(HElem._wrap, rows), order)
 

@@ -9,7 +9,9 @@ encoding (`Tree.key`), which doubles as the text format of the tree DSL
 
 with the outermost node the root and whitespace insignificant.  Children are
 rendered sorted by (edge index, child encoding), so two trees are isomorphic
-(root-, color- and index-preserving) exactly when their keys coincide.
+(root-, color- and index-preserving) exactly when their keys coincide.  One
+walk per tree computes that order and the key; `Tree.kids` caches it, and
+`key`, `tree_to_json` and `cap_phi_hat` read it.
 
 Every terminal vertex must be black; a vertex of degree <= 1 counts as a
 terminal, so the single-vertex tree must be black (it is the unit of the
@@ -83,6 +85,7 @@ class Tree:
     Immutable, equal and hashed by those four fields.  A plain class, not a
     dataclass, so that loading it does not load `dataclasses` and `inspect`;
     its `__dict__` holds the fields and what the cached properties compute.
+    `kids` caches the one canonical walk, and `key` with it.
     """
 
     def __init__(self, root: int, black: frozenset, white: frozenset, edges: tuple):
@@ -107,9 +110,17 @@ class Tree:
     @classmethod
     def build(cls, root: int, black: Iterable[int], white: Iterable[int],
               edges: Iterable[tuple[int, int, int]]) -> "Tree":
-        """The tree with these fields, edges ordered and sorted; raises the
-        `InvalidTree` or `UnknownVertex` error of `validate` if it is not a
-        valid 2-colored rooted tree."""
+        """The tree with these fields, edges ordered and sorted; raises
+        `InvalidTree` if a vertex id or an edge index is not an ``int``
+        (``bool`` included), or the `InvalidTree` or `UnknownVertex` error
+        of `validate` if it is not a valid 2-colored rooted tree."""
+        black, white, edges = tuple(black), tuple(white), tuple(edges)
+        for x in (root, *black, *white, *(end for e in edges for end in e[:2])):
+            if type(x) is not int:
+                raise InvalidTree(f"vertex id {x!r} is not an int")
+        for u, v, k in edges:
+            if type(k) is not int:
+                raise InvalidTree(f"edge {u}-{v} carries index {k!r}, not an int")
         t = cls._unchecked(root, black, white, edges)
         t.validate()
         return t
@@ -143,28 +154,28 @@ class Tree:
         return orient(self.adj, top)
 
     @cached_property
-    def key(self) -> str:
-        """Canonical DSL encoding; equal keys == isomorphic indexed trees."""
-        return self._canonical()
-
-    def _canonical(self, kids_out: dict | None = None) -> str:
-        """The canonical DSL, from one post-order walk without recursion.
-
-        Children are ordered by edge index, then child DSL.  If `kids_out` is
-        given, it receives every vertex's children in that order as (edge
-        index, child DSL, child) triples, children before parents.
-        """
+    def kids(self) -> dict:
+        """Every vertex's children in canonical order, as (edge index, child
+        DSL, child) triples sorted by index, then DSL, children before
+        parents: one post-order walk without recursion, which also caches
+        `key`, the root's DSL."""
         adj, par = self.adj, self.parent
         dsl: dict[int, str] = {}
+        kids: dict[int, list] = {}
         # the parent map lists every vertex after its parent
         for v in reversed(par):
             p = par[v]
-            kids = sorted([(k, dsl.pop(u), u) for u, k in adj[v].items() if u != p])
-            inner = ",".join([f"{k}:{e}" for k, e, _ in kids])
-            dsl[v] = ("b(" if v in self.black else "w(") + inner + ")"
-            if kids_out is not None:
-                kids_out[v] = kids
-        return dsl[self.root]
+            kv = kids[v] = sorted([(k, dsl.pop(u), u) for u, k in adj[v].items() if u != p])
+            dsl[v] = ("b(" if v in self.black else "w(") + ",".join([f"{k}:{e}" for k, e, _ in kv]) + ")"
+        self.__dict__["key"] = dsl[self.root]
+        return kids
+
+    @cached_property
+    def key(self) -> str:
+        """Canonical DSL encoding; equal keys == isomorphic indexed trees.
+        The walk of `kids` computes and caches it."""
+        self.kids  # the walk stores the key
+        return self.__dict__["key"]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -435,8 +446,7 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
     _positive_blocks(t)
-    kids: dict[int, list] = {}
-    t._canonical(kids)
+    kids = t.kids
     rows: list[dict] = [{} for _ in range(order)]
     fans: dict[int, list] = {}  # edge index -> its bumps, by degree
     above = {t.root: [(None, None, d, c) for _, d, c in bumps((), order)]}
@@ -578,10 +588,8 @@ def parse_tree(s: str) -> Tree:
 
 def tree_to_json(t: Tree) -> dict:
     """Structural encoding mirroring the DSL, children in canonical order."""
-    children: dict[int, list] = {}
-    t._canonical(children)
     obj: dict[int, dict] = {}
-    for v, kids in children.items():
+    for v, kids in t.kids.items():
         obj[v] = {
             "color": "b" if v in t.black else "w",
             "edges": [{"index": k, "child": obj.pop(u)} for k, _, u in kids],

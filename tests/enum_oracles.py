@@ -1,11 +1,14 @@
 """Brute-force reference oracles, kept for differential tests only.
 
 These enumerate every increasing index tuple or every composition of M and
-add exact rationals term by term.  They are exponential in the depth or in
-the number of black vertices, and independent of the dynamic programs in
-``zetaforest.zeta`` that they check.  ``symmetrization_reference`` rebuilds
-every re-rooted tree of the t-adic tree map from scratch, independent of the
-shared walk in ``zetaforest.trees`` that it checks.
+add exact rationals term by term.  The compositions come from cut points
+(``positive_compositions``), not from the library's ``bumps``, so the
+references share no enumerator with the library.  They are exponential in
+the depth or in the number of black vertices, and independent of the dynamic
+programs in ``zetaforest.zeta`` that they check.
+``symmetrization_reference`` rebuilds every re-rooted tree of the t-adic
+tree map from scratch, independent of the shared walk in
+``zetaforest.trees`` that it checks.
 """
 
 from __future__ import annotations
@@ -13,12 +16,32 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
+from typing import Iterator
 
 from zetaforest.errors import UnknownVertex
-from zetaforest.indices import Tuple_, bumps, positive_compositions
+from zetaforest.indices import Tuple_, bumps
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.trees import Tree
+
+
+def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:
+    """All tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < parts:
+        return
+    # bars-and-stars via combinations of cut points
+    for cuts in combinations(range(1, total), parts - 1):
+        prev = 0
+        out = []
+        for c in cuts:
+            out.append(c - prev)
+            prev = c
+        out.append(total - prev)
+        yield tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -157,5 +180,5 @@ def symmetrization_reference(t: Tree, order: int) -> list:
             raised = dict(zip(steps, bumped))
             edges = [(a, b, raised.get(frozenset((a, b)), k)) for a, b, k in t.edges]
             s = Tree.build(v, t.black, t.white, edges)
-            out.append((d, c, s._canonical(), s.root, s.edges))
+            out.append((d, c, s.key, s.root, s.edges))
     return out

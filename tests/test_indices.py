@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaforest.errors import BadIndex, BadOrder
-from zetaforest.indices import all_indices, bumps, positive_compositions, weight
+from zetaforest.indices import all_indices, bumps, weight
+
+from enum_oracles import positive_compositions
 
 
 def _vectors(ks, got):
@@ -111,3 +114,10 @@ def test_all_indices():
     got = all_indices(2)
     assert got == [(), (1,), (2,), (1, 1)]
     assert len(all_indices(4)) == 1 + 1 + 2 + 4 + 8
+
+
+def test_all_indices_matches_brute_force():
+    # every tuple of entries 1..W of each depth, kept by weight, sorted
+    for W in range(8):
+        brute = [k for d in range(W + 1) for k in product(range(1, W + 1), repeat=d) if sum(k) <= W]
+        assert all_indices(W) == sorted(brute, key=lambda k: (sum(k), len(k), k))

@@ -130,3 +130,9 @@ def test_phi_hat_of_rational_input_matches_fraction_sums(a):
             assert 0 not in terms.values()
             assert terms == {v: x for v, x in row.items() if x}
 
+
+def test_phi_hat_of_integral_rationals_is_its_integer_twin():
+    # one path: every denominator is 1, so D = 1 and no Rat is built
+    got = phi_hat(HElem({"y": Rat(3), "yx": Rat(-2)}), 3)
+    assert got == phi_hat(HElem({"y": 3, "yx": -2}), 3)
+    assert {type(c) for coeff in got.coeffs for _, c in coeff.terms()} == {int}

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from zetaforest.catalog import (
 )
 from zetaforest.errors import (
     BadOrder,
+    InvalidTree,
     NotATree,
     NotConnected,
     NotEssentiallyPositive,
@@ -82,6 +84,23 @@ def test_key_and_json_of_deep_chain():
                       [(i, i + 1, 1 + i % 2) for i in range(depth)])
     for deep in (t, nest):
         assert parse_tree(deep.key) == deep
+
+
+def test_key_and_child_order_come_from_one_walk(monkeypatch):
+    # count the walks of `Tree.kids`; a cached_property set on the class
+    # after it was made learns its name from __set_name__
+    dsl, walks = "b(1:b(2:b()),2:w(1:b(),1:b()))", []
+    walk = Tree.kids.func
+    counted = cached_property(lambda t: walks.append(t) or walk(t))
+    counted.__set_name__(Tree, "kids")
+    monkeypatch.setattr(Tree, "kids", counted)
+    t = parse_tree(dsl)
+    assert t.to_json()["dsl"] == dsl
+    assert walks == [t]
+    t = parse_tree(dsl)
+    assert t.key == dsl and walks[-1] is t  # the key is the walk's
+    cap_phi_hat(t, 3)
+    assert len(walks) == 2
 
 
 def test_non_planar_equality():
@@ -163,6 +182,19 @@ def test_edge_endpoint_without_a_color():
     # vertex 5 is in neither color set: no silent white vertex
     with pytest.raises(UnknownVertex):
         Tree.build(0, [0], [], [(0, 5, 1)])
+
+
+def test_build_rejects_ids_and_indices_that_are_not_ints():
+    # every tree must round-trip through parse_tree, whose keys have decimal
+    # indices, and a string id must not reach the edge sort
+    with pytest.raises(InvalidTree, match="index 1.5"):
+        Tree.build(0, [0, 1], [], [(0, 1, 1.5)])
+    with pytest.raises(InvalidTree, match="index True"):
+        Tree.build(0, [0, 1], [], [(0, 1, True)])
+    with pytest.raises(InvalidTree, match="vertex id 'a'"):
+        Tree.build(0, ["a", 0], [], [(0, "a", 1)])
+    with pytest.raises(InvalidTree, match="vertex id True"):
+        Tree.build(True, [0, 1], [], [(0, 1, 1)])
 
 
 def test_tree_is_an_immutable_value():
@@ -491,7 +523,7 @@ def _check_keys(t: Tree, order: int) -> int:
     it parses to; the number of keys."""
     keys = [key for combo in cap_phi_hat(t, order).coeffs for key in combo._terms]
     for key in keys:
-        assert parse_tree(key)._canonical() == key
+        assert parse_tree(key).key == key
     return len(keys)
 
 
