@@ -183,3 +183,64 @@ def test_harvested_terms_keep_the_numbers():
             for d, c, hf in reference:
                 rows[d] += c * zeta_tree(hf, M)
             assert root_change_rhs(terms, M, 3) == TSeries(tuple(rows), 3), (t.key, M)
+
+
+def _plus_at(s: TSeries, degree: int, extra) -> TSeries:
+    """`s` with `extra` added to its t^degree coefficient."""
+    coeffs = list(s.coeffs)
+    coeffs[degree] = coeffs[degree] + extra
+    return TSeries(coeffs, s.order)
+
+
+Z1 = HElem.from_index((1,))
+
+
+def test_kaneko_failure_is_minimized_to_weight_three(monkeypatch):
+    # a right-hand side wrong at t^0 from total weight 3 up when l is not
+    # empty: each failing pair shrinks, in k or in l, to one of weight 3
+    right = verify.kaneko_rhs
+    monkeypatch.setattr(verify, "kaneko_rhs", lambda k, l, order: _plus_at(right(k, l, order), 0, Z1)
+                        if sum(k) + sum(l) >= 3 and l else right(k, l, order))
+    report = run_suite("kaneko", RunConfig(t_order=2, weight_max=4))
+    assert report.cases == 48
+    assert _failed_keys(report) == ["k= l=1,1,1", "k= l=1,2", "k= l=2,1", "k= l=3",
+                                    "k=1 l=1,1", "k=1 l=2", "k=1,1 l=1", "k=2 l=1"]
+
+
+def test_t_btt_failure_is_minimized_to_weight_four(monkeypatch):
+    # a right-hand side wrong at t^1 from weight 4 up when an entry is at
+    # least 2: each failing index shrinks to one of weight 4 with such an entry
+    right = verify.t_btt_rhs
+    monkeypatch.setattr(verify, "t_btt_rhs", lambda ks, order: _plus_at(right(ks, order), 1, Z1)
+                        if sum(ks) >= 4 and max(ks) >= 2 else right(ks, order))
+    report = run_suite("t-btt", RunConfig(t_order=3, weight_max=5))
+    assert report.cases == 20
+    assert _failed_keys(report) == [f"index={ks} t_order=3"
+                                    for ks in ("1,1,2", "1,2,1", "1,3", "2,1,1", "2,2", "3,1")]
+
+
+def test_root_change_failure_is_minimized_to_four_vertices(monkeypatch):
+    # a shifted tree sum wrong at t^0 on trees of 4 vertices or more when
+    # M >= 3: each failing tree shrinks, at its own M, to one of 4 vertices
+    from zetaforest import zeta
+
+    right = zeta.zeta_shat_tree
+    monkeypatch.setattr(zeta, "zeta_shat_tree", lambda t, M, order: _plus_at(right(t, M, order), 0, 1)
+                        if len(t.vertices) >= 4 and M >= 3 else right(t, M, order))
+    report = run_suite("root-change", RunConfig(t_order=2, m_max=4))
+    assert report.cases == 128
+    trees_ = ["b(0:w(1:b(),1:b()))", "b(1:b(0:w(1:b(),1:b())))", "b(1:b(1:b(1:b())))"]
+    assert _failed_keys(report) == [f"tree={t} M={M} t_order=2" for t in trees_ for M in (3, 4)]
+
+
+def test_main_failure_is_minimized_to_four_vertices(monkeypatch):
+    # a left-hand side wrong at t^1 on trees of 4 vertices or more: each
+    # failing catalog tree shrinks to one of 4 vertices, failing the word identity
+    right = verify.main_lhs
+    monkeypatch.setattr(verify, "main_lhs", lambda t, order: _plus_at(right(t, order), 1, Z1)
+                        if len(t.vertices) >= 4 else right(t, order))
+    report = run_suite("main", RunConfig(t_order=2, m_max=3))
+    assert report.cases == 33
+    assert _failed_keys(report) == ["tree=b(0:w(0:w(1:b())))", "tree=b(0:w(1:b(),1:b()))",
+                                    "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"]
+    assert all(f.detail.startswith("word identity:") for f in report.failures)
