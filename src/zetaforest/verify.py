@@ -1,9 +1,12 @@
 """Verification suites: machine checks of the algebraic identities.
 
-Each suite enumerates a deterministic case list (seeded where random), checks
-an exact equality per case, and reports each failure's minimized
-counterexample once: indices are reduced componentwise first, then vertices
-are dropped, as long as the failure persists.
+Each suite makes its deterministic case list (seeded where random) from a
+list of inputs, checks an exact equality per case, and reports each
+failure's minimized counterexample once.  A failing case is replaced by the
+first of its one-step shrinks that still fails, as long as one does: an
+index has one entry lowered by 1 or dropped, and a tree has one edge index
+lowered by 1 or one non-root leaf dropped.  Each shrink is again a valid
+input of its suite.
 
 The catalog, tree and oracle layers are imported by the builders and suites
 that call them, so the word suites (btt, t-btt, kaneko) load none of them.
@@ -13,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import BadIndex, BadOrder, BadRunConfig, InvalidTree, UnknownSuite
-from .indices import Tuple_, all_indices, bumps, is_index, weight
+from .indices import Tuple_, all_indices, bumps, weight
 from .rationals import Rat
 from .series import DEFAULT_ORDER, TSeries
 from .symmetrize import phi, phi_hat
@@ -201,48 +204,54 @@ def root_change_rhs(terms: list, M: int, order: int) -> TSeries:
 
 
 # ---------------------------------------------------------------------------
-# shrinking helpers
+# cases and their shrinks
 
 
-def _index_shrinks(ks: Tuple_, rebuild: Callable[[Tuple_], Optional[Case]]) -> list:
-    out = []
-    for i, e in enumerate(ks):
-        if e > 1:
-            c = rebuild(ks[:i] + (e - 1,) + ks[i + 1 :])
-            if c:
-                out.append(c)
-    for i in range(len(ks)):
-        c = rebuild(ks[:i] + ks[i + 1 :])
-        if c:
-            out.append(c)
-    return out
+def _cases(inputs: list, key: Callable, check: Callable,
+           shrinks: Callable = lambda x: ()) -> list[Case]:
+    """One case per input: keyed by `key(x)`, checked by `check(x)`, and
+    shrunk to the cases of the inputs `shrinks(x)`."""
+
+    def make(x) -> Case:
+        return Case(key=key(x), check=lambda: check(x),
+                    shrink=lambda: [make(y) for y in shrinks(x)])
+
+    return [make(x) for x in inputs]
 
 
-def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
+def _commas(ks: Tuple_) -> str:
+    return ",".join(map(str, ks))
+
+
+def _pair_key(pair: tuple) -> str:
+    return f"k={_commas(pair[0])} l={_commas(pair[1])}"
+
+
+def _index_shrinks(ks: Tuple_) -> list:
+    """The index with one entry lowered by 1, then with one entry dropped."""
+    lowered = [ks[:i] + (e - 1,) + ks[i + 1 :] for i, e in enumerate(ks) if e > 1]
+    return lowered + [ks[:i] + ks[i + 1 :] for i in range(len(ks))]
+
+
+def _tree_shrinks(t: Tree) -> list:
+    """The essentially positive trees with one edge index of `t` lowered by 1,
+    then those with one non-root leaf of `t` dropped."""
     from .trees import Tree, is_essentially_positive
 
     out = []
     for u, v, k in t.edges:
         if k >= 1:
             edges = [(a, b, k - 1 if (a, b) == (u, v) else kk) for a, b, kk in t.edges]
-            t2 = Tree.build(t.root, t.black, t.white, edges)
-            if is_essentially_positive(t2):
-                c = rebuild(t2)
-                if c:
-                    out.append(c)
+            out.append(Tree.build(t.root, t.black, t.white, edges))
     for leaf in sorted(t.vertices):
         if leaf == t.root or t.degree(leaf) != 1:
             continue
         edges = [e for e in t.edges if leaf not in (e[0], e[1])]
         try:
-            t2 = Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges)
+            out.append(Tree.build(t.root, t.black - {leaf}, t.white - {leaf}, edges))
         except InvalidTree:  # dropping a leaf can leave a white terminal
             continue
-        if is_essentially_positive(t2):
-            c = rebuild(t2)
-            if c:
-                out.append(c)
-    return out
+    return [t2 for t2 in out if is_essentially_positive(t2)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,136 +259,101 @@ def _tree_shrinks(t: Tree, rebuild: Callable[[Tree], Optional[Case]]) -> list:
 
 
 def _skip_one_cases(cfg: RunConfig, depths: tuple, suffix: str,
-                    lhs: Callable, rhs: Callable) -> Iterator[Case]:
-    """The BTT cases: every index of depth r + 1, r in `depths`."""
-
-    def make(ks: Tuple_) -> Optional[Case]:
-        if len(ks) < 2 or not is_index(ks):
-            return None
-        return Case(
-            key=f"index={','.join(map(str, ks))}{suffix}",
-            check=lambda: _diff(lhs(ks), rhs(ks)),
-            shrink=lambda: _index_shrinks(ks, make),
-        )
-
-    for r in depths:
-        for ks in all_indices(cfg.weight_max):
-            if len(ks) == r + 1:
-                yield make(ks)
+                    lhs: Callable, rhs: Callable) -> list[Case]:
+    """The BTT cases: every index of depth r + 1, r in `depths`, shrunk to
+    indices of depth >= 2."""
+    idxs = [ks for r in depths for ks in all_indices(cfg.weight_max) if len(ks) == r + 1]
+    return _cases(idxs, lambda ks: f"index={_commas(ks)}{suffix}",
+                  lambda ks: _diff(lhs(ks), rhs(ks)),
+                  lambda ks: [s for s in _index_shrinks(ks) if len(s) >= 2])
 
 
-def _suite_btt(cfg: RunConfig) -> Iterator[Case]:
+def _suite_btt(cfg: RunConfig) -> list[Case]:
     return _skip_one_cases(cfg, (1, 2, 3), "", btt_lhs, btt_rhs)
 
 
-def _suite_t_btt(cfg: RunConfig) -> Iterator[Case]:
+def _suite_t_btt(cfg: RunConfig) -> list[Case]:
     order = cfg.t_order
     return _skip_one_cases(cfg, (1, 2), f" t_order={order}",
                            lambda ks: t_btt_lhs(ks, order), lambda ks: t_btt_rhs(ks, order))
 
 
-def _suite_kaneko(cfg: RunConfig) -> Iterator[Case]:
+def _suite_kaneko(cfg: RunConfig) -> list[Case]:
     order = cfg.t_order
 
-    def make(pair: Tuple_) -> Optional[Case]:
+    def check(pair: tuple) -> Optional[str]:
         k, l = pair
-        if not (is_index(k) and is_index(l)):
-            return None
+        d = _diff(kaneko_lhs(k, l, order), kaneko_rhs(k, l, order))
+        if d:
+            return "series: " + d
+        d = _diff(kaneko_lhs(k, l, 1).coeffs[0], kaneko_rhs(k, l, 1).coeffs[0])
+        return "constant: " + d if d else None
 
-        def check() -> Optional[str]:
-            d = _diff(kaneko_lhs(k, l, order), kaneko_rhs(k, l, order))
-            if d:
-                return "series: " + d
-            d = _diff(kaneko_lhs(k, l, 1).coeffs[0], kaneko_rhs(k, l, 1).coeffs[0])
-            return "constant: " + d if d else None
-
-        def shrink() -> list:
-            out = _index_shrinks(k, lambda k2: make((k2, l)))
-            out += _index_shrinks(l, lambda l2: make((k, l2)))
-            return out
-
-        return Case(
-            key=f"k={','.join(map(str, k))} l={','.join(map(str, l))}",
-            check=check,
-            shrink=shrink,
-        )
+    def shrinks(pair: tuple) -> list:
+        k, l = pair
+        return [(k2, l) for k2 in _index_shrinks(k)] + [(k, l2) for l2 in _index_shrinks(l)]
 
     idxs = all_indices(cfg.weight_max)
-    for k in idxs:
-        for l in idxs:
-            if weight(k) + weight(l) <= cfg.weight_max:
-                yield make((k, l))
+    pairs = [(k, l) for k in idxs for l in idxs if weight(k) + weight(l) <= cfg.weight_max]
+    return _cases(pairs, _pair_key, check, shrinks)
 
 
-def _suite_vanish(cfg: RunConfig) -> Iterator[Case]:
+def _suite_vanish(cfg: RunConfig) -> list[Case]:
     from .catalog import symmetric_hybrid_tree
     from .trees import cap_phi, harvestable_form, w_word
 
     del cfg
 
-    def make(k1: int, k2: int, l: int) -> Case:
-        t = symmetric_hybrid_tree(k1, k2, l)
+    def check(t: Tree) -> Optional[str]:
+        combo = cap_phi(t)
+        if combo:
+            return f"tree map image nonzero: {combo}"
+        img = phi(w_word(harvestable_form(t)))
+        if img:
+            return f"word map image nonzero: {img}"
+        return None
 
-        def check() -> Optional[str]:
-            combo = cap_phi(t)
-            if combo:
-                return f"tree map image nonzero: {combo}"
-            img = phi(w_word(harvestable_form(t)))
-            if img:
-                return f"word map image nonzero: {img}"
-            return None
-
-        return Case(key=f"tree={t.key}", check=check)
-
-    for k1 in (1, 2):
-        for k2 in (1, 2):
-            for l in (1, 3):
-                yield make(k1, k2, l)
+    trees = [symmetric_hybrid_tree(k1, k2, l) for k1 in (1, 2) for k2 in (1, 2) for l in (1, 3)]
+    return _cases(trees, lambda t: f"tree={t.key}", check)
 
 
-def _suite_root_change(cfg: RunConfig) -> Iterator[Case]:
+def _suite_root_change(cfg: RunConfig) -> list[Case]:
+    """One case per (tree, M), each with its tree's harvested terms, which
+    are built once for every M."""
     from .catalog import harvestable_catalog
     from .trees import harvestable_form
     from .zeta import zeta_shat_tree
 
     order = cfg.t_order
-    trees = [t for t in harvestable_catalog() if len(t.vertices) > 1]
+    inputs = []
+    for t in harvestable_catalog():
+        if len(t.vertices) > 1:
+            terms = harvested_terms(t, order)
+            inputs += [(t, M, terms) for M in range(1, cfg.m_max + 1)]
 
-    def make(t: Tree, M: int, terms: list) -> Case:
-        return Case(
-            key=f"tree={t.key} M={M} t_order={order}",
-            check=lambda: _diff(zeta_shat_tree(t, M, order), root_change_rhs(terms, M, order)),
-            shrink=lambda: _tree_shrinks(t, lambda t2: shrunk(harvestable_form(t2), M)),
-        )
+    def check(x: tuple) -> Optional[str]:
+        t, M, terms = x
+        return _diff(zeta_shat_tree(t, M, order), root_change_rhs(terms, M, order))
 
-    def shrunk(t: Tree, M: int) -> Optional[Case]:
-        if len(t.vertices) == 1:
-            return None
-        return make(t, M, harvested_terms(t, order))
+    def shrinks(x: tuple) -> list:
+        t, M, _ = x
+        forms = (harvestable_form(t2) for t2 in _tree_shrinks(t))
+        return [(hf, M, harvested_terms(hf, order)) for hf in forms if len(hf.vertices) > 1]
 
-    for t in trees:
-        terms = harvested_terms(t, order)
-        for M in range(1, cfg.m_max + 1):
-            yield make(t, M, terms)
+    return _cases(inputs, lambda x: f"tree={x[0].key} M={x[1]} t_order={order}", check, shrinks)
 
 
-def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> Iterator[Case]:
-    """One case per essentially positive tree of the builtin catalog with a
-    black root, keyed by the tree and shrunk by dropping vertices."""
+def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[Case]:
+    """One case per essentially positive tree of the builtin catalog, keyed
+    by the tree and shrunk by `_tree_shrinks`."""
     from .catalog import builtin_catalog
     from .trees import is_essentially_positive
 
-    def make(t: Tree) -> Optional[Case]:
-        if t.root not in t.black or not is_essentially_positive(t):
-            return None
-        return Case(key=f"tree={t.key}", check=lambda: check(t),
-                    shrink=lambda: _tree_shrinks(t, make))
-
-    for t in builtin_catalog():
-        yield make(t)
+    trees = [t for t in builtin_catalog() if is_essentially_positive(t)]
+    return _cases(trees, lambda t: f"tree={t.key}", check, _tree_shrinks)
 
 
-def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
+def _suite_harvest(cfg: RunConfig) -> list[Case]:
     from .trees import harvestable_form, is_harvestable
     from .zeta import zeta_shat_tree, zeta_tree
 
@@ -400,7 +374,7 @@ def _suite_harvest(cfg: RunConfig) -> Iterator[Case]:
     return _catalog_cases(check)
 
 
-def _suite_main(cfg: RunConfig) -> Iterator[Case]:
+def _suite_main(cfg: RunConfig) -> list[Case]:
     from .zeta import z_m_series
 
     order = cfg.t_order
@@ -420,94 +394,74 @@ def _suite_main(cfg: RunConfig) -> Iterator[Case]:
     return _catalog_cases(check)
 
 
-def _suite_algebra(cfg: RunConfig) -> Iterator[Case]:
+def _suite_algebra(cfg: RunConfig) -> list[Case]:
     from .zeta import z_m_eval
 
-    words = [HElem.from_index(k) for k in all_indices(cfg.weight_max)]
     idxs = all_indices(cfg.weight_max)
     unit = HElem.unit()
 
-    def pair_case(i: int, j: int) -> Case:
-        a, b = words[i], words[j]
-        ka, kb = idxs[i], idxs[j]
+    def unit_check(k: Tuple_) -> Optional[str]:
+        a = HElem.from_index(k)
+        if shuffle(a, unit) != a or shuffle(unit, a) != a:
+            return "shuffle unit law broken"
+        if harmonic(a, unit) != a or harmonic(unit, a) != a:
+            return "harmonic unit law broken"
+        return None
 
-        def check() -> Optional[str]:
-            if shuffle(a, b) != shuffle(b, a):
-                return "shuffle not commutative"
-            if harmonic(a, b) != harmonic(b, a):
-                return "harmonic not commutative"
-            if not (shuffle(a, b).is_h1 and harmonic(a, b).is_h1):
-                return "product left the y-initial subspace"
-            for M in range(2, cfg.m_max + 1):
-                lhs = z_m_eval(harmonic(a, b), M)
-                rhs = z_m_eval(a, M) * z_m_eval(b, M)
-                if lhs != rhs:
-                    return f"harmonic sums not multiplicative at M={M}: {lhs} != {rhs}"
-            return None
+    def pair_check(pair: tuple) -> Optional[str]:
+        a, b = map(HElem.from_index, pair)
+        if shuffle(a, b) != shuffle(b, a):
+            return "shuffle not commutative"
+        if harmonic(a, b) != harmonic(b, a):
+            return "harmonic not commutative"
+        if not (shuffle(a, b).is_h1 and harmonic(a, b).is_h1):
+            return "product left the y-initial subspace"
+        for M in range(2, cfg.m_max + 1):
+            lhs = z_m_eval(harmonic(a, b), M)
+            rhs = z_m_eval(a, M) * z_m_eval(b, M)
+            if lhs != rhs:
+                return f"harmonic sums not multiplicative at M={M}: {lhs} != {rhs}"
+        return None
 
-        return Case(
-            key=f"k={','.join(map(str, ka))} l={','.join(map(str, kb))}",
-            check=check,
-        )
+    def triple_check(x: tuple) -> Optional[str]:
+        a, b, c = map(HElem.from_index, x[1:])
+        if shuffle(shuffle(a, b), c) != shuffle(a, shuffle(b, c)):
+            return "shuffle not associative"
+        if harmonic(harmonic(a, b), c) != harmonic(a, harmonic(b, c)):
+            return "harmonic not associative"
+        return None
 
-    def unit_case(i: int) -> Case:
-        a = words[i]
-
-        def check() -> Optional[str]:
-            if shuffle(a, unit) != a or shuffle(unit, a) != a:
-                return "shuffle unit law broken"
-            if harmonic(a, unit) != a or harmonic(unit, a) != a:
-                return "harmonic unit law broken"
-            return None
-
-        return Case(key=f"unit k={','.join(map(str, idxs[i]))}", check=check)
-
-    def triple_case(n: int, ka: Tuple_, kb: Tuple_, kc: Tuple_) -> Case:
-        a, b, c = (HElem.from_index(k) for k in (ka, kb, kc))
-
-        def check() -> Optional[str]:
-            if shuffle(shuffle(a, b), c) != shuffle(a, shuffle(b, c)):
-                return "shuffle not associative"
-            if harmonic(harmonic(a, b), c) != harmonic(a, harmonic(b, c)):
-                return "harmonic not associative"
-            return None
-
-        return Case(key=f"triple#{n:03d} {ka}/{kb}/{kc}", check=check)
-
-    for i in range(len(words)):
-        yield unit_case(i)
-        for j in range(i, len(words)):
-            yield pair_case(i, j)
     rng = random.Random(cfg.seed)
-    for n in range(cfg.count):
-        ka, kb, kc = (rng.choice(idxs) for _ in range(3))
-        yield triple_case(n, ka, kb, kc)
+    triples = [(n, *(rng.choice(idxs) for _ in range(3))) for n in range(cfg.count)]
+    pairs = [(ka, kb) for i, ka in enumerate(idxs) for kb in idxs[i:]]
+    return (_cases(idxs, lambda k: f"unit k={_commas(k)}", unit_check)
+            + _cases(pairs, _pair_key, pair_check)
+            + _cases(triples, lambda x: f"triple#{x[0]:03d} {x[1]}/{x[2]}/{x[3]}", triple_check))
 
 
-def _suite_assoc(cfg: RunConfig) -> Iterator[Case]:
+def _suite_assoc(cfg: RunConfig) -> list[Case]:
     from .catalog import random_harvestable, unit_tree
     from .trees import circ_h
 
     rng = random.Random(cfg.seed)
     unit = unit_tree()
 
-    def make(n: int, a: Tree, b: Tree, c: Tree) -> Case:
-        def check() -> Optional[str]:
-            if circ_h(a, b).key != circ_h(b, a).key:
-                return "glue product not commutative"
-            left = circ_h(circ_h(a, b), c).key
-            right = circ_h(a, circ_h(b, c)).key
-            if left != right:
-                return f"glue product not associative: {left} != {right}"
-            if circ_h(a, unit).key != a.key:
-                return "unit law broken"
-            return None
+    def check(x: tuple) -> Optional[str]:
+        _, a, b, c = x
+        if circ_h(a, b).key != circ_h(b, a).key:
+            return "glue product not commutative"
+        left = circ_h(circ_h(a, b), c).key
+        right = circ_h(a, circ_h(b, c)).key
+        if left != right:
+            return f"glue product not associative: {left} != {right}"
+        if circ_h(a, unit).key != a.key:
+            return "unit law broken"
+        return None
 
-        return Case(key=f"triple#{n:03d} {a.key} | {b.key} | {c.key}", check=check)
-
-    for n in range(cfg.count):
-        a, b, c = (random_harvestable(rng, max_vertices=5, k_cap=2) for _ in range(3))
-        yield make(n, a, b, c)
+    triples = [(n, *(random_harvestable(rng, max_vertices=5, k_cap=2) for _ in range(3)))
+               for n in range(cfg.count)]
+    return _cases(triples, lambda x: f"triple#{x[0]:03d} {x[1].key} | {x[2].key} | {x[3].key}",
+                  check)
 
 
 _SUITES = {
@@ -542,15 +496,12 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
         gen = _SUITES[name]
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    cases = gen(cfg)
     failures: dict[str, Failure] = {}  # one per distinct minimized case
-    count = 0
-    for case in gen(cfg):
-        if case is None:
-            continue
-        count += 1
+    for case in cases:
         detail = case.check()
         if detail is not None:
             mcase, mdetail = _minimize(case, detail)
             failures.setdefault(mcase.key, Failure(mcase.key, mdetail))
-    return Report(suite=name, config=asdict(cfg), cases=count,
+    return Report(suite=name, config=asdict(cfg), cases=len(cases),
                   failures=[failures[k] for k in sorted(failures)])

@@ -92,6 +92,8 @@ def test_main_writes_alternating_pairs(tmp_path):
     assert record["machine"]["rat_backend"] == "fractions.Fraction"
     assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert record["parent"]["src_sha256"] == record["change"]["src_sha256"]  # same sources
+    for name in ("parent", "change"):  # the fake checkouts are not git work trees
+        assert record[name]["commit"] is None and record[name]["dirty"] is None
     assert list(record["workloads"]) == ["w1", "w2"]
     pairs = record["workloads"]["w1"]["pairs"]
     assert [p["first"] for p in pairs] == ["parent", "change", "parent"]

@@ -137,6 +137,29 @@ def test_tree_validity_has_one_home():
     assert found == []
 
 
+def _case_calls(module: ast.Module):
+    """(line, function) of every `Case(...)` call, with the name of the
+    top-level function that holds it, or None at module level."""
+    for top in module.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            f = node.func if isinstance(node, ast.Call) else None
+            if isinstance(f, ast.Name) and f.id == "Case" or isinstance(f, ast.Attribute) and f.attr == "Case":
+                yield node.lineno, name
+
+
+def test_case_construction_has_one_home():
+    # every verify suite hands a list of inputs to verify._cases, which makes
+    # each case and its shrinks, so no suite builds a Case of its own
+    sample = "def _cases():\n    return Case(1)\ndef suite():\n    return v.Case(2)\nc = Case(3)"
+    assert list(_case_calls(ast.parse(sample))) == [(2, "_cases"), (4, "suite"), (5, None)]
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line, name in _case_calls(ast.parse(path.read_text()))
+             if (path.name, name) != ("verify.py", "_cases")]
+    assert found == []
+
+
 # defined in the package but named nowhere in it (outside __init__.py) or in
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {

@@ -130,7 +130,7 @@ def test_harvest_failure_is_minimized_to_four_vertices(monkeypatch):
         form = harvestable_form(t)
         assert failure.detail == f"harvestable form is not harvestable: {form.key}"
         assert len(form.vertices) >= 4
-        smaller = verify._tree_shrinks(t, lambda t2: t2 if t2.root in t2.black else None)
+        smaller = verify._tree_shrinks(t)
         assert all(len(harvestable_form(t2).vertices) < 4 for t2 in smaller)
     assert keys == ["tree=b(0:w(0:w(1:b()),1:b()))", "tree=b(0:w(1:b(),1:b()))",
                     "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"]

@@ -98,15 +98,18 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 
 def side(checkout: Path) -> dict:
     """The checkout's commit, whether it has local changes, and a sha256 of
-    the package sources as they were measured."""
+    the package sources as they were measured.  The commit and the dirty
+    flag are None where git fails, as in a checkout that is not a git work
+    tree, such as a `git archive` export."""
     def git(*args):
-        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                              text=True).stdout.strip()
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
 
     digest = hashlib.sha256()
     for path in sorted((checkout / "src" / "zetaforest").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+    status = git("status", "--porcelain")
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status),
             "src_sha256": digest.hexdigest()}
 
 
