@@ -15,7 +15,7 @@ that call them, so the word suites (btt, t-btt, kaneko) load none of them.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import BadIndex, BadOrder, BadRunConfig, InvalidTree, UnknownSuite
@@ -51,7 +51,7 @@ class RunConfig:
 class Case:
     key: str
     check: Callable[[], Optional[str]]
-    shrink: Callable[[], list] = field(default=lambda: [])
+    shrink: Callable[[], list]
 
 
 @dataclass
