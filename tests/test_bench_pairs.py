@@ -80,7 +80,8 @@ def fake_checkout(root: Path, rate: int) -> Path:
     return root
 
 
-def test_main_writes_alternating_pairs(tmp_path):
+def test_main_writes_alternating_pairs(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no git work tree above
     parent = fake_checkout(tmp_path / "parent", 100)
     change = fake_checkout(tmp_path / "change", 200)
     out = tmp_path / "BENCH.json"
