@@ -5,7 +5,8 @@ add exact rationals term by term.  The compositions come from cut points
 (``positive_compositions``), not from the library's ``bumps``, so the
 references share no enumerator with the library.  They are exponential in
 the depth or in the number of black vertices, and independent of the dynamic
-programs in ``zetaforest.zeta`` that they check.
+programs in ``zetaforest.zeta`` that they check.  ``z_m_eval`` adds one
+``Rat`` per term, where the library sums integer numerators.
 ``symmetrization_reference`` rebuilds every re-rooted tree of the t-adic
 tree map from scratch, independent of the shared walk in
 ``zetaforest.trees`` that it checks.
@@ -23,6 +24,7 @@ from zetaforest.indices import Tuple_, bumps
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.trees import Tree
+from zetaforest.words import HElem, z_decompose
 
 
 def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:
@@ -54,6 +56,14 @@ def zeta_index(k: Tuple_, M: int) -> object:
         for n, e in zip(ns, k):
             term /= n**e
         total += term
+    return total
+
+
+def z_m_eval(a: HElem, M: int) -> object:
+    """Linear extension of ``zeta_index`` over the z-basis, term by term."""
+    total = Rat(0)
+    for w, c in a.terms():
+        total += c * zeta_index(z_decompose(w), M)
     return total
 
 

@@ -148,6 +148,12 @@ def test_validate_catalog_ok():
         t.validate()
 
 
+def test_catalog_trees_are_essentially_positive_with_black_roots():
+    # the catalog suites take every tree as it is, with no filter
+    for t in builtin_catalog():
+        assert is_essentially_positive(t) and t.root in t.black, t.key
+
+
 def test_validate_white_leaf():
     with pytest.raises(TerminalNotBlack):
         Tree.build(0, [0], [1], [(0, 1, 1)])
@@ -310,6 +316,40 @@ def test_harvestable_form_contracts_hybrid_l0():
 
 def test_harvestable_form_unit():
     assert harvestable_form(unit_tree()).key == "b()"
+
+
+@pytest.mark.parametrize("fields, expected", [
+    # a 0-edge block is named by its black vertex, not by its least id
+    ((0, [0, 5, 2], [1], [(0, 1, 1), (1, 5, 0), (5, 2, 2)]),
+     (0, {0, 2, 5}, set(), ((0, 5, 1), (2, 5, 2)))),
+    # the root's block keeps the root, which is then branched and hoisted
+    ((0, [0, 2, 3], [1], [(0, 1, 0), (1, 2, 1), (1, 3, 2)]),
+     (0, {0, 2, 3}, {4}, ((0, 4, 0), (2, 4, 1), (3, 4, 2)))),
+    # a white-only block is named by its least id
+    ((0, [0, 2, 4, 5], [1, 3], [(0, 3, 1), (3, 1, 0), (3, 4, 1), (1, 2, 2), (1, 5, 3)]),
+     (0, {0, 2, 4, 5}, {1}, ((0, 1, 1), (1, 2, 2), (1, 4, 1), (1, 5, 3)))),
+    # a white vertex of degree 2 is spliced, its two indices summed
+    ((0, [0, 2, 3], [1], [(0, 1, 1), (1, 2, 2), (2, 3, 1)]),
+     (0, {0, 2, 3}, set(), ((0, 2, 3), (2, 3, 1)))),
+    # branched blacks in increasing id order, then the root, take fresh ids
+    # from the largest id plus one
+    ((0, range(7), [], [(0, 3, 1), (0, 1, 1), (3, 4, 1), (3, 5, 2), (1, 2, 1), (1, 6, 3)]),
+     (0, set(range(7)), {7, 8, 9},
+      ((0, 9, 0), (1, 7, 0), (1, 9, 1), (2, 7, 1), (3, 8, 0), (3, 9, 1), (4, 8, 1), (5, 8, 2),
+       (6, 7, 3)))),
+    # all of it at once: the root's block, a white block, a splice of a
+    # white 1 left with degree 2, and the root hoisted to 10
+    ((2, [2, 7, 4, 9, 5], [1, 3, 8, 6],
+      [(2, 8, 0), (8, 3, 1), (3, 6, 0), (6, 7, 2), (6, 4, 1), (3, 1, 2), (1, 9, 3), (8, 5, 2)]),
+     (2, {2, 4, 5, 7, 9}, {3, 10},
+      ((2, 10, 0), (3, 4, 1), (3, 7, 2), (3, 9, 5), (3, 10, 1), (5, 10, 2)))),
+])
+def test_harvestable_form_fields(fields, expected):
+    # every field, so the ids are pinned and not only the key
+    got = harvestable_form(Tree.build(*fields))
+    root, black, white, edges = expected
+    assert (got.root, got.black, got.white, got.edges) == (root, black, white, edges)
+    assert type(got.black) is type(got.white) is frozenset and type(got.edges) is tuple
 
 
 def test_harvestable_form_requires_essential_positivity():

@@ -26,7 +26,7 @@ from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
 from zetaforest.series import rat_series
 from zetaforest.trees import Tree, parse_tree
-from zetaforest.words import HElem, harmonic
+from zetaforest.words import HElem, harmonic, word_from_index
 from zetaforest.zeta import (
     _product,
     z_m_eval,
@@ -125,6 +125,35 @@ def test_z_m_eval_examples():
     assert z_m_eval(harmonic(z(1), z(1)), 3) == Rat(9, 4)
     with pytest.raises(NotInH1):
         z_m_eval(HElem.word("x"), 3)
+
+
+def test_z_m_eval_cancels_and_empty():
+    empty = HElem.zero()
+    # z_1 and z_2 agree below M = 3, and z_(1,1) and z_(2,1) at M = 3
+    pair = HElem({"y": 1, "yx": -1})
+    rational_pair = HElem({"yy": Rat(1, 3), "yxy": Rat(-1, 3)})
+    for M in range(11):
+        for a in (empty, pair, rational_pair):
+            got = z_m_eval(a, M)
+            assert type(got) is Rat and got == enum_oracles.z_m_eval(a, M), (a, M)
+        assert z_m_eval(empty, M) == 0
+        assert (z_m_eval(pair, M) == 0) == (M <= 2)
+        assert (z_m_eval(rational_pair, M) == 0) == (M <= 3)
+
+
+_coeffs = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Rat, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=4), _coeffs), max_size=5),
+       st.integers(0, 10))
+def test_z_m_eval_matches_term_by_term_reference(terms, M):
+    # M = 0..10 reaches M <= depth, where an index sums to 0
+    a = HElem([(word_from_index(tuple(k)), c) for k, c in terms])
+    assert z_m_eval(a, M) == enum_oracles.z_m_eval(a, M)
 
 
 def test_z_shat_examples():
