@@ -178,6 +178,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     value = _INPUTS[cmd.input][1](getattr(args, cmd.input))
     if cmd.m and args.m < 0:
         raise BadIndex("M must be >= 0")
+    if cmd.m and args.m > sys.maxsize:  # past what range() and lcm() take
+        raise BadIndex(f"M must be <= {sys.maxsize}")
     extra = ([args.m] if cmd.m else []) + ([order] if cmd.t_order else [])
     sys.stdout.write(_render(cmd.call(value, *extra), args.json) + "\n")
     return 0

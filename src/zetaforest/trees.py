@@ -232,13 +232,14 @@ def unit_tree() -> Tree:
 
 
 def _zero_blocks(t: Tree) -> dict | None:
-    """Where contracting every 0-edge sends each vertex, or None when a block
-    of 0-edges holds two black vertices.
+    """Where contracting every 0-edge sends each vertex of a 0-edge, or None
+    when a block of 0-edges holds two black vertices.  Every other vertex is
+    a block of its own.
 
     A block goes to its black vertex if it has one, else to its least vertex
-    id.  Union-find with path halving, O(V log V).
+    id.  Union-find with path halving over the 0-edges alone, O(V log V).
     """
-    up = {v: v for v in t.vertices}
+    up: dict[int, int] = {}
 
     def find(v: int) -> int:
         while up[v] != v:
@@ -248,13 +249,15 @@ def _zero_blocks(t: Tree) -> dict | None:
 
     for u, v, k in t.edges:
         if k == 0:
+            up.setdefault(u, u)
+            up.setdefault(v, v)
             a, b = find(u), find(v)
             if b in t.black or (a not in t.black and b < a):
                 a, b = b, a
             if b in t.black:
                 return None
             up[b] = a
-    return {v: find(v) for v in t.vertices}
+    return {v: find(v) for v in up}
 
 
 def is_essentially_positive(t: Tree) -> bool:
@@ -332,29 +335,48 @@ def harvestable_form(t: Tree) -> Tree:
        largest id of `t` plus one.
 
     A valid tree has no white terminal, so every contracted white block
-    keeps degree >= 2.  Each step is one pass; the whole costs O(V log V).
+    keeps degree >= 2.  No black vertex is contracted away or spliced, so
+    the black set is `t`'s.  Each step is one pass over the contracted
+    adjacency, and the edges, each written as (lower, higher, k), are sorted
+    once; the whole costs O(V log V).
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
     block = _positive_blocks(t)
-    adj: dict[int, dict[int, int]] = {v: {} for v in block.values()}
+    black, root = t.black, t.root
+    adj: dict[int, dict[int, int]] = {root: {}}  # the root names its block
     for u, v, k in t.edges:
         if k:
-            adj[block[u]][block[v]] = adj[block[v]][block[u]] = k
+            u, v = block.get(u, u), block.get(v, v)
+            nu, nv = adj.get(u), adj.get(v)
+            if nu is None:
+                nu = adj[u] = {}
+            if nv is None:
+                nv = adj[v] = {}
+            nu[v] = nv[u] = k
     for v in list(adj):
-        if v not in t.black and len(adj[v]) == 2:
+        if v not in black and len(adj[v]) == 2:
             (a, ka), (b, kb) = adj.pop(v).items()
             del adj[a][v], adj[b][v]
             adj[a][b] = adj[b][a] = ka + kb
-    root = t.root
-    hoisted = [v for v in sorted(adj) if v in t.black and v != root and len(adj[v]) >= 3]
+    hoisted = sorted(v for v, nb in adj.items() if len(nb) >= 3 and v in black and v != root)
+    # a hoisted vertex keeps the edge to its parent and hands over the rest
+    par = orient(adj, root) if hoisted else {}
     if len(adj[root]) >= 2:
         hoisted.append(root)
-    top = max(t.vertices)
-    fresh = {v: top + 1 + i for i, v in enumerate(hoisted)}
-    edges = [(fresh.get(p, p), v, adj[v][p]) for v, p in orient(adj, root).items() if p is not None]
-    edges += [(v, w, 0) for v, w in fresh.items()]
-    return Tree._unchecked(root, adj.keys() & t.black, (adj.keys() - t.black) | set(fresh.values()), edges)
+    top = max(t.vertices) + 1 if hoisted else 0
+    fresh = {v: top + i for i, v in enumerate(hoisted)}
+    edges = [(v, f, 0) for v, f in fresh.items()]
+    for v, nb in adj.items():
+        fv = fresh.get(v)
+        for w, k in nb.items():
+            if v < w:  # each edge once, from its lower end
+                fw = fresh.get(w)
+                a = v if fv is None or par.get(v) == w else fv
+                b = w if fw is None or par.get(w) == v else fw
+                edges.append((a, b, k) if a < b else (b, a, k))
+    edges.sort()
+    return Tree(root, black, frozenset(adj.keys() - black).union(fresh.values()), tuple(edges))
 
 
 def circ_h(a: Tree, b: Tree) -> Tree:

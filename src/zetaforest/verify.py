@@ -344,13 +344,12 @@ def _suite_root_change(cfg: RunConfig) -> list[Case]:
 
 
 def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[Case]:
-    """One case per essentially positive tree of the builtin catalog, keyed
-    by the tree and shrunk by `_tree_shrinks`."""
+    """One case per tree of the builtin catalog, every one essentially
+    positive with a black root, keyed by the tree and shrunk by
+    `_tree_shrinks`."""
     from .catalog import builtin_catalog
-    from .trees import is_essentially_positive
 
-    trees = [t for t in builtin_catalog() if is_essentially_positive(t)]
-    return _cases(trees, lambda t: f"tree={t.key}", check, _tree_shrinks)
+    return _cases(builtin_catalog(), lambda t: f"tree={t.key}", check, _tree_shrinks)
 
 
 def _suite_harvest(cfg: RunConfig) -> list[Case]:

@@ -19,7 +19,13 @@ totals in plain integers: every factor n^-k is kept as the numerator
 once at the end.
 
 * ``zeta_index`` is the nested-sum recursion S_k(M) = sum_{n<M} n^-k_r
-  S_k'(n) with k' = (k_1..k_r-1); it costs O(r*M).
+  S_k'(n) with k' = (k_1..k_r-1); it costs O(r*M).  Its integer numerator
+  over L^wt(k), L = lcm(1..M-1), is the one cached value (4096 entries,
+  keyed by (k, M)); ``zeta_index`` wraps it in a ``Rat``.
+* ``z_m_eval`` sums those numerators in integers: each term's is raised to
+  the common L^W, W the largest weight of a word, and multiplied by its
+  coefficient scaled by the lcm D of all the denominators.  One ``Rat``,
+  the sum over D*L^W, is built at the end.
 * ``zeta_tree`` walks the tree once, children before parents.  Each vertex
   holds a vector indexed by the total n = 0..M of the black values in its
   subtree.  An edge scales entry n by (L // n)^k, siblings combine by
@@ -45,6 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .errors import UnknownVertex
@@ -57,14 +64,21 @@ if TYPE_CHECKING:
     from .trees import Tree
 
 
-@lru_cache(maxsize=4096)
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
     check_index(k)
+    num = _zeta_numerator(k, M)
+    # neither the empty index nor an empty sum needs L
+    return Rat(num, lcm(*range(1, M)) ** sum(k)) if k and num else Rat(num)
+
+
+@lru_cache(maxsize=4096)
+def _zeta_numerator(k: Tuple_, M: int) -> int:
+    """`zeta_index(k, M)` times L^wt(k), L = lcm(1..M-1): an integer."""
     if not k:
-        return Rat(1)
+        return 1
     if M <= len(k):
-        return Rat(0)
+        return 0
     L = lcm(*range(1, M))
     # row[n]: numerator over L^(k_1+...+k_j) of the sum with n_j = n
     row = [1] + [0] * (M - 1)
@@ -75,7 +89,7 @@ def zeta_index(k: Tuple_, M: int) -> object:
             below += row[n - 1]
             new[n] = below * (L // n) ** e
         row = new
-    return Rat(sum(row), L ** sum(k))
+    return sum(row)
 
 
 def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int) -> list:
@@ -144,17 +158,23 @@ def _product(a: list, b: list, order: int, cap: int, pointwise: bool = False) ->
 
     Rows multiply entrywise if `pointwise`, else by convolution over the
     total, truncated at `cap`.  Each output row is built whole, from the
-    pairs of rows whose degrees add up to its own.
+    pairs of rows whose degrees add up to its own.  Two one-row lists, as
+    every vector of `zeta_tree` and every off-path vector of a shifted walk
+    is, make their one row from their one pair.
     """
     if not pointwise:
         b = [[(n, y) for n, y in enumerate(rb) if y] for rb in b]
+    if len(a) == len(b) == 1:
+        degrees = [[(a[0], b[0])]]
+    else:
+        degrees = [[(a[i], b[d - i]) for i in range(max(0, d - len(b) + 1), min(d + 1, len(a)))]
+                   for d in range(min(order, len(a) + len(b) - 1))]
     out = []
-    for d in range(min(order, len(a) + len(b) - 1)):
-        pairs = [(a[i], b[d - i]) for i in range(max(0, d - len(b) + 1), min(d + 1, len(a)))]
+    for pairs in degrees:
         if pointwise:
-            row = [x * y for x, y in zip(*pairs[0])]
+            row = list(map(mul, *pairs[0]))
             for ra, rb in pairs[1:]:
-                row = [s + x * y for s, x, y in zip(row, ra, rb)]
+                row = list(map(add, row, map(mul, ra, rb)))
         else:
             row = [0] * (cap + 1)
             for ra, nonzero in pairs:
@@ -215,11 +235,20 @@ def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
 
 
 def z_m_eval(a: HElem, M: int) -> object:
-    """Linear extension of the harmonic sums over the z-basis."""
-    total = Rat(0)
-    for w, c in a.terms():
-        total += c * zeta_index(z_decompose(w), M)
-    return total
+    """Linear extension of the harmonic sums over the z-basis.
+
+    Each coefficient is scaled by the lcm D of all the denominators, and each
+    term's numerator over L^wt(k) is raised to the common L^W, W the largest
+    weight, so the sum runs in integers and one ``Rat`` is built at the end.
+    """
+    terms = [(z_decompose(w), c) for w, c in a.terms()]
+    W = max((sum(k) for k, _ in terms), default=0)
+    L = lcm(*range(1, M))
+    den = lcm(*(c.denominator for _, c in terms))
+    total = 0
+    for k, c in terms:
+        total += c.numerator * (den // c.denominator) * _zeta_numerator(k, M) * L ** (W - sum(k))
+    return Rat(total, den * L**W)
 
 
 def z_m_series(s: TSeries, M: int) -> TSeries:

@@ -227,7 +227,16 @@ def test_input_error_exit_code(capsys):
     assert code == 2  # not harvestable
 
 
-def test_tree_errors_say_what_is_wrong(capsys):
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--index", "1"],
+    ["zeta-tree", "--tree", "b(1:b())"],
+    ["zeta-shat", "--tree", "b(1:b())", "--t-order", "2"],
+], ids=lambda argv: argv[0])
+def test_m_past_maxsize_is_an_input_error(capsys, argv):
+    # M past sys.maxsize is rejected before any oracle runs
+    message = f"error: M must be <= {sys.maxsize}\n"
+    for m in (sys.maxsize + 1, 10**20):
+        assert run_cli(capsys, *argv, "-M", str(m)) == (2, "", message)
     # the key, then the reason; stdout stays empty and the exit code is 2
     for argv, message in (
         (["w", "--tree", "b(1:b(),1:b())"], "b(1:b(),1:b()): the root is not terminal"),

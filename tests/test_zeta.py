@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from zetaforest.trees import Tree, parse_tree
 from zetaforest.words import HElem, harmonic, word_from_index
 from zetaforest.zeta import (
     _product,
+    _zeta_numerator,
     z_m_eval,
     z_shat,
     zeta_index,
@@ -50,6 +52,13 @@ def test_zeta_index_examples():
     assert zeta_index((), 0) == 1
     assert zeta_index((1, 1), 2) == 0
     assert zeta_index((2,), 4) == 1 + Rat(1, 4) + Rat(1, 9)
+
+
+def test_zeta_index_is_its_numerator_over_l_to_the_weight():
+    for M in range(11):
+        L = math.lcm(*range(1, M))
+        for k in all_indices(5):
+            assert zeta_index(k, M) == Rat(_zeta_numerator(k, M), L ** sum(k)), (k, M)
 
 
 def test_zeta_index_rejects_non_index():
