@@ -243,7 +243,7 @@ def z_m_eval(a: HElem, M: int) -> object:
     """
     terms = [(z_decompose(w), c) for w, c in a.terms()]
     W = max((sum(k) for k, _ in terms), default=0)
-    L = lcm(*range(1, M))
+    L = lcm(*range(1, M)) if W else 1  # as in zeta_index, weight 0 needs no L
     den = lcm(*(c.denominator for _, c in terms))
     total = 0
     for k, c in terms:

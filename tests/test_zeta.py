@@ -131,6 +131,9 @@ def test_zeta_shat_examples():
 def test_z_m_eval_examples():
     assert z_m_eval(z(1), 3) == Rat(3, 2)
     assert z_m_eval(HElem.unit(), 12) == 1
+    # weight 0 takes no lcm, so any M works
+    assert z_m_eval(HElem.unit(), 10**20) == zeta_index((), 10**20) == 1
+    assert z_m_eval(HElem.zero(), 10**20) == 0
     assert z_m_eval(harmonic(z(1), z(1)), 3) == Rat(9, 4)
     with pytest.raises(NotInH1):
         z_m_eval(HElem.word("x"), 3)
