@@ -241,13 +241,16 @@ def z_m_eval(a: HElem, M: int) -> object:
     term's numerator over L^wt(k) is raised to the common L^W, W the largest
     weight, so the sum runs in integers and one ``Rat`` is built at the end.
     """
-    terms = [(z_decompose(w), c) for w, c in a.terms()]
-    W = max((sum(k) for k, _ in terms), default=0)
+    terms = a.terms()
+    W = max((len(w) for w, _ in terms), default=0)  # a z-word's length is its weight
     L = lcm(*range(1, M)) if W else 1  # as in zeta_index, weight 0 needs no L
-    den = lcm(*(c.denominator for _, c in terms))
+    # a list, not a generator: the argument tuple built from a generator is
+    # resized, and each call would leave one more tuple on a free list (up
+    # to 2000 per size), raising peak memory
+    den = lcm(*[c.denominator for _, c in terms])
     total = 0
-    for k, c in terms:
-        total += c.numerator * (den // c.denominator) * _zeta_numerator(k, M) * L ** (W - sum(k))
+    for w, c in terms:
+        total += c.numerator * (den // c.denominator) * _zeta_numerator(z_decompose(w), M) * L ** (W - len(w))
     return Rat(total, den * L**W)
 
 
