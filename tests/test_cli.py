@@ -237,6 +237,9 @@ def test_m_past_maxsize_is_an_input_error(capsys, argv):
     message = f"error: M must be <= {sys.maxsize}\n"
     for m in (sys.maxsize + 1, 10**20):
         assert run_cli(capsys, *argv, "-M", str(m)) == (2, "", message)
+
+
+def test_tree_errors_say_what_is_wrong(capsys):
     # the key, then the reason; stdout stays empty and the exit code is 2
     for argv, message in (
         (["w", "--tree", "b(1:b(),1:b())"], "b(1:b(),1:b()): the root is not terminal"),
