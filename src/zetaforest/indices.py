@@ -12,6 +12,7 @@ from it.
 
 from __future__ import annotations
 
+import sys
 from math import comb, prod
 from typing import Iterator
 
@@ -30,8 +31,12 @@ def is_index(k: Tuple_) -> bool:
 
 
 def check_index(k: Tuple_) -> Tuple_:
+    """k as a tuple; its entries must be positive and at most sys.maxsize,
+    past which no word or range of that length can be built."""
     if not is_index(k):
         raise BadIndex(f"index entries must be positive: {k}")
+    if max(k, default=0) > sys.maxsize:
+        raise BadIndex(f"index entries must be <= {sys.maxsize}: {k}")
     return tuple(k)
 
 

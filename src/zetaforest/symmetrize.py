@@ -14,10 +14,8 @@ in degree wt(l).  phi is the constant term (t = 0).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 from .indices import bumps
-from .rationals import Rat
 from .series import TSeries
 from .words import HElem, Word, shuffle, z_decompose
 
@@ -36,22 +34,16 @@ def _phi_hat_index(w: Word, order: int) -> TSeries:
 def phi_hat(a: HElem, order: int) -> TSeries:
     """Q[[t]]-linear symmetrization of a y-initial element, truncated at `order`.
 
-    One path for every coefficient: each is scaled by the lcm D of all the
-    denominators (an ``int`` has denominator 1), the integer images are
-    summed, and only when D > 1 is each output term one ``Rat(v, D)``.  So
-    integer input, or rational input whose denominators are all 1, gives
-    ``int`` coefficients."""
+    The integer images of a's numerators are summed, and each output row
+    goes over a's one denominator.  So integer input gives ``int``
+    coefficients, and no ``Rat`` is built here."""
     rows: list[dict] = [{} for _ in range(order)]
     # grlex order keeps the word-product cache warmer than dict order does
-    terms = a.terms()
-    den = lcm(*(c.denominator for _, c in terms))
-    for w, c in terms:
-        scaled = c.numerator * (den // c.denominator)
+    for w, c in a._sorted():
         for row, image in zip(rows, _phi_hat_index(w, order).coeffs):
-            image.add_into(row, scaled)
-    if den > 1:
-        rows = [{w: Rat(v, den) for w, v in row.items()} for row in rows]
-    return TSeries(map(HElem._wrap, rows), order)
+            image.add_into(row, c)
+    den = a._den
+    return TSeries([HElem._wrap(row, den) for row in rows], order)
 
 
 def phi(a: HElem) -> HElem:

@@ -435,7 +435,7 @@ class TreeCombo(Combo):
     def terms(self) -> list[tuple[Tree, object]]:
         """(tree, coefficient) in key order, each tree parsed from its key, so
         its vertex ids do not depend on how the input was labelled."""
-        return [(parse_tree(k), c) for k, c in self._sorted()]
+        return [(parse_tree(k), c) for k, c in self._items()]
 
     def to_json(self) -> dict:
         return {

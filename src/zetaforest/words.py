@@ -80,7 +80,7 @@ class HElem(Combo):
 
     def terms(self) -> list[tuple[Word, object]]:
         """Term list in graded lexicographic word order (x < y)."""
-        return self._sorted()
+        return self._items()
 
     @property
     def is_h1(self) -> bool:
@@ -88,11 +88,11 @@ class HElem(Combo):
 
     def concat(self, other: "HElem") -> "HElem":
         """Bilinear concatenation product."""
-        data: dict[Word, object] = {}
+        data: dict[Word, int] = {}
         for wa, ca in self._terms.items():
             for wb, cb in other._terms.items():
                 accumulate(data, wa + wb, ca * cb)
-        return HElem._wrap(data)
+        return HElem._wrap(data, self._den * other._den)
 
     def to_json(self) -> dict:
         return {
@@ -148,15 +148,16 @@ def _word_product(u: Word, v: Word, merge: bool) -> dict:
 
 
 def _bilinear(a: HElem, b: HElem, merge: bool) -> HElem:
-    """`_word_product` extended bilinearly; the empty word is the unit."""
-    data: dict[Word, object] = {}
+    """`_word_product` extended bilinearly on the numerators, over the
+    product of the denominators; the empty word is the unit."""
+    data: dict[Word, int] = {}
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             c = ca * cb
             pair = _word_product(wa, wb, merge) if wa >= wb else _word_product(wb, wa, merge)
             for w, mult in pair.items():
                 accumulate(data, w, c * mult)
-    return HElem._wrap(data)
+    return HElem._wrap(data, a._den * b._den)
 
 
 def shuffle(a: HElem, b: HElem) -> HElem:

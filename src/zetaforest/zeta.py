@@ -23,9 +23,9 @@ once at the end.
   over L^wt(k), L = lcm(1..M-1), is the one cached value (4096 entries,
   keyed by (k, M)); ``zeta_index`` wraps it in a ``Rat``.
 * ``z_m_eval`` sums those numerators in integers: each term's is raised to
-  the common L^W, W the largest weight of a word, and multiplied by its
-  coefficient scaled by the lcm D of all the denominators.  One ``Rat``,
-  the sum over D*L^W, is built at the end.
+  the common L^W, W the largest weight of a word, and multiplied by the
+  combination's integer numerator of its word.  One ``Rat``, the sum over
+  D*L^W with D the combination's one denominator, is built at the end.
 * ``zeta_tree`` walks the tree once, children before parents.  Each vertex
   holds a vector indexed by the total n = 0..M of the black values in its
   subtree.  An edge scales entry n by (L // n)^k, siblings combine by
@@ -237,21 +237,17 @@ def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
 def z_m_eval(a: HElem, M: int) -> object:
     """Linear extension of the harmonic sums over the z-basis.
 
-    Each coefficient is scaled by the lcm D of all the denominators, and each
-    term's numerator over L^wt(k) is raised to the common L^W, W the largest
-    weight, so the sum runs in integers and one ``Rat`` is built at the end.
+    Each term's numerator over L^wt(k) is raised to the common L^W, W the
+    largest weight, and multiplied by a's integer numerator of the word, so
+    the sum runs in integers and one ``Rat`` is built at the end, over a's
+    denominator times L^W.
     """
-    terms = a.terms()
-    W = max((len(w) for w, _ in terms), default=0)  # a z-word's length is its weight
+    W = max(map(len, a._terms), default=0)  # a z-word's length is its weight
     L = lcm(*range(1, M)) if W else 1  # as in zeta_index, weight 0 needs no L
-    # a list, not a generator: the argument tuple built from a generator is
-    # resized, and each call would leave one more tuple on a free list (up
-    # to 2000 per size), raising peak memory
-    den = lcm(*[c.denominator for _, c in terms])
     total = 0
-    for w, c in terms:
-        total += c.numerator * (den // c.denominator) * _zeta_numerator(z_decompose(w), M) * L ** (W - len(w))
-    return Rat(total, den * L**W)
+    for w, c in a._terms.items():
+        total += c * _zeta_numerator(z_decompose(w), M) * L ** (W - len(w))
+    return Rat(total, a._den * L**W)
 
 
 def z_m_series(s: TSeries, M: int) -> TSeries:

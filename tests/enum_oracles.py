@@ -9,11 +9,16 @@ programs in ``zetaforest.zeta`` that they check.  ``z_m_eval`` adds one
 ``Rat`` per term, where the library sums integer numerators.
 ``symmetrization_reference`` rebuilds every re-rooted tree of the t-adic
 tree map from scratch, independent of the shared walk in
-``zetaforest.trees`` that it checks.
+``zetaforest.trees`` that it checks.  ``naive_shuffle`` and
+``naive_harmonic`` choose positions, not prefixes, as the word kernel does.
+The ``dict_*`` functions redo the arithmetic of word combinations on plain
+dicts of ``Fraction``, one term at a time, where ``zetaforest.combo`` keeps
+integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
@@ -23,8 +28,9 @@ from zetaforest.errors import UnknownVertex
 from zetaforest.indices import Tuple_, bumps
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
+from zetaforest.symmetrize import phi_hat
 from zetaforest.trees import Tree
-from zetaforest.words import HElem, z_decompose
+from zetaforest.words import HElem, word_from_index, z_decompose
 
 
 def positive_compositions(total: int, parts: int) -> Iterator[Tuple_]:
@@ -192,3 +198,84 @@ def symmetrization_reference(t: Tree, order: int) -> list:
             s = Tree.build(v, t.black, t.white, edges)
             out.append((d, c, s.key, s.root, s.edges))
     return out
+
+
+def naive_shuffle(u, v):
+    """Independent oracle: choose the positions of u among len(u)+len(v) slots."""
+    out = {}
+    n = len(u) + len(v)
+    for posns in combinations(range(n), len(u)):
+        w = [None] * n
+        for c, p in zip(u, posns):
+            w[p] = c
+        rest = iter(v)
+        w = "".join(next(rest) if c is None else c for c in w)
+        out[w] = out.get(w, 0) + 1
+    return out
+
+
+def naive_harmonic(k, l):
+    """Independent oracle: pairs of order-preserving position choices covering
+    1..n; shared positions add their entries."""
+    out = {}
+    for n in range(max(len(k), len(l)), len(k) + len(l) + 1):
+        for pk in combinations(range(n), len(k)):
+            for pl in combinations(range(n), len(l)):
+                if set(pk) | set(pl) != set(range(n)):
+                    continue
+                idx = [0] * n
+                for e, p in zip(k, pk):
+                    idx[p] += e
+                for e, p in zip(l, pl):
+                    idx[p] += e
+                idx = tuple(idx)
+                out[idx] = out.get(idx, 0) + 1
+    return out
+
+
+def naive_harmonic_words(u: str, v: str) -> dict:
+    """`naive_harmonic` of two y-initial words, as a dict of words."""
+    table = naive_harmonic(z_decompose(u), z_decompose(v))
+    return {word_from_index(k): m for k, m in table.items()}
+
+
+def _nonzero(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def fraction_dict(a: HElem) -> dict:
+    """The terms of a word combination, each coefficient a ``Fraction``."""
+    return {w: Fraction(c) for w, c in a.terms()}
+
+
+def dict_sum(*scaled: tuple) -> dict:
+    """The sum of s * d over the (s, d) pairs, d a dict of rationals, term
+    by term in ``Fraction``; zero terms dropped."""
+    out: dict = {}
+    for s, d in scaled:
+        for k, c in d.items():
+            out[k] = out.get(k, 0) + Fraction(s) * c
+    return _nonzero(out)
+
+
+def dict_product(a: dict, b: dict, product) -> dict:
+    """`product(u, v)`, a dict of word multiplicities, extended bilinearly
+    to dicts of rationals, term by term in ``Fraction``."""
+    out: dict = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            for w, m in product(u, v).items():
+                out[w] = out.get(w, 0) + Fraction(cu) * cv * m
+    return _nonzero(out)
+
+
+def dict_phi_hat(a: dict, order: int) -> list:
+    """phi_hat extended linearly over a dict of rationals: each word's image,
+    `phi_hat` of the word alone, weighted and summed term by term in
+    ``Fraction``.  One dict per t-degree."""
+    rows: list[dict] = [{} for _ in range(order)]
+    for w, c in a.items():
+        for row, image in zip(rows, phi_hat(HElem.word(w), order).coeffs):
+            for v, m in image.terms():
+                row[v] = row.get(v, 0) + Fraction(c) * m
+    return [_nonzero(row) for row in rows]

@@ -239,6 +239,17 @@ def test_m_past_maxsize_is_an_input_error(capsys, argv):
         assert run_cli(capsys, *argv, "-M", str(m)) == (2, "", message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--index", "99999999999999999999"],
+    ["phi-hat", "--index", "99999999999999999999"],
+    ["w", "--tree", "b(99999999999999999999:b())"],
+], ids=lambda argv: argv[0])
+def test_index_entry_past_maxsize_is_an_input_error(capsys, argv):
+    # an entry past sys.maxsize is rejected before a word of that length is built
+    message = f"error: index entries must be <= {sys.maxsize}: (99999999999999999999,)\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
 def test_tree_errors_say_what_is_wrong(capsys):
     # the key, then the reason; stdout stays empty and the exit code is 2
     for argv, message in (

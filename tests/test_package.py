@@ -95,6 +95,29 @@ def test_no_true_division():
     assert found == []
 
 
+def _generators_unpacked_into_gcd_or_lcm(module: ast.Module):
+    """Lines of a `gcd(...)` or `lcm(...)` call that star-unpacks a generator expression."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("gcd", "lcm") and any(
+                    isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp) for a in node.args):
+                yield node.lineno
+
+
+def test_no_generator_unpacked_into_gcd_or_lcm():
+    # the argument tuple of f(*generator) is built at a guessed size and
+    # resized, so each call leaves one more tuple on a free list and memory
+    # climbs over a long run; a list or a dict view has its size up front
+    source = "a = lcm(*(x for x in y))\nb = gcd(*[x for x in y])\nc = math.gcd(d, *(x for x in y))"
+    assert sorted(_generators_unpacked_into_gcd_or_lcm(ast.parse(source))) == [1, 3]
+    package = Path(zetaforest.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _generators_unpacked_into_gcd_or_lcm(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _mod_twos(module: ast.Module):
     """Lines with a `% 2`."""
     for node in ast.walk(module):

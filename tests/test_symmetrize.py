@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest import symmetrize
 from zetaforest.errors import NotInH1
+from zetaforest.indices import all_indices, bumps
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.symmetrize import _phi_hat_index, phi, phi_hat
 from zetaforest.words import HElem, right_mul_x_pow, shuffle, word_from_index
+from zetaforest.zeta import z_shat, zeta_index
 
 indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 # denominators sharing factors, so their lcm is smaller than their product;
@@ -136,3 +139,44 @@ def test_phi_hat_of_integral_rationals_is_its_integer_twin():
     got = phi_hat(HElem({"y": Rat(3), "yx": Rat(-2)}), 3)
     assert got == phi_hat(HElem({"y": 3, "yx": -2}), 3)
     assert {type(c) for coeff in got.coeffs for _, c in coeff.terms()} == {int}
+
+
+# --- finite congruences at primes ---------------------------------------------
+
+# every nonempty index of weight <= 6, at primes p and t-orders N
+INDEX_CONGRUENCE_CASES = [(k, p, n) for k in all_indices(6) if k for p in (5, 7, 11, 13) for n in (2, 3, 4)]
+
+
+def index_congruence_failures() -> int:
+    """The cases where z_shat(z_k, p, N) at t = p is not (depth(k) + 1) *
+    zeta_index(k, p) modulo p^N.
+
+    With t = p each shifted base -a + t is p - a, so each of the depth + 1
+    terms of phi_hat(z_k) sums to zeta_index(k, p), and the truncation at
+    t^N costs a multiple of p^N; every denominator is prime to p, as every
+    base lies in 1..p-1.  So the difference, in lowest terms, has a
+    numerator divisible by p^N."""
+    failures = 0
+    for k, p, n in INDEX_CONGRUENCE_CASES:
+        at_p = sum(c * p**d for d, c in enumerate(z_shat(z(k), p, n).coeffs))
+        failures += (at_p - (len(k) + 1) * zeta_index(k, p)).numerator % p**n != 0
+    return failures
+
+
+def test_index_congruence_at_primes():
+    assert len(INDEX_CONGRUENCE_CASES) == 756
+    assert index_congruence_failures() == 0
+
+
+def test_index_congruence_catches_t_to_minus_t(monkeypatch):
+    # phi_hat's expansion read at -t instead of t: most cases fail
+    def flipped(ks, order):
+        for bumped, d, c in bumps(ks, order):
+            yield bumped, d, (-1) ** d * c
+
+    monkeypatch.setattr(symmetrize, "bumps", flipped)
+    _phi_hat_index.cache_clear()
+    try:
+        assert index_congruence_failures() == 636
+    finally:
+        _phi_hat_index.cache_clear()

@@ -1,7 +1,6 @@
-import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,42 +23,19 @@ from zetaforest.words import (
     z_decompose,
 )
 
+from enum_oracles import (
+    dict_phi_hat,
+    dict_product,
+    dict_sum,
+    fraction_dict,
+    naive_harmonic,
+    naive_harmonic_words,
+    naive_shuffle,
+)
+
 indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 words = st.text(alphabet="xy", max_size=5)
 h1_words = st.one_of(st.just(""), st.text(alphabet="xy", max_size=4).map(lambda w: "y" + w))
-
-
-def naive_shuffle(u, v):
-    """Independent oracle: choose the positions of u among len(u)+len(v) slots."""
-    out = {}
-    n = len(u) + len(v)
-    for posns in itertools.combinations(range(n), len(u)):
-        w = [None] * n
-        for c, p in zip(u, posns):
-            w[p] = c
-        rest = iter(v)
-        w = "".join(next(rest) if c is None else c for c in w)
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
-def naive_harmonic(k, l):
-    """Independent oracle: pairs of order-preserving position choices covering
-    1..n; shared positions add their entries."""
-    out = {}
-    for n in range(max(len(k), len(l)), len(k) + len(l) + 1):
-        for pk in itertools.combinations(range(n), len(k)):
-            for pl in itertools.combinations(range(n), len(l)):
-                if set(pk) | set(pl) != set(range(n)):
-                    continue
-                idx = [0] * n
-                for e, p in zip(k, pk):
-                    idx[p] += e
-                for e, p in zip(l, pl):
-                    idx[p] += e
-                idx = tuple(idx)
-                out[idx] = out.get(idx, 0) + 1
-    return out
 
 
 def test_word_from_index_examples():
@@ -302,19 +278,75 @@ def test_rational_scalar_is_the_per_term_product(a, p, q):
     s = Rat(p, q)
     expected = [(w, Fraction(int(c.numerator), int(c.denominator)) * Fraction(p, q))
                 for w, c in a.terms()]
+    values = [c for _, c in expected if c]
+    # all int over denominator 1, all Rat otherwise, nothing for zero
+    want = {int} if all(c.denominator == 1 for c in values) else {Rat}
     for got in (a * s, s * a):
         assert [(w, Fraction(int(c.numerator), int(c.denominator))) for w, c in got.terms()] == [
             (w, c) for w, c in expected if c]
-        assert coeff_types(got) <= {Rat}
+        assert coeff_types(got) == (want if values else set())
 
 
 def test_non_integer_scalars_become_rat():
+    # a combination's coefficients are all int when its common denominator
+    # is 1 and all Rat otherwise, whatever types built it
     half = HElem({"y": 1}) * Rat(1, 2)
     assert half.terms() == [("y", Rat(1, 2))]
     assert coeff_types(half) == {Rat}
-    assert coeff_types(HElem({"y": True}), HElem({"y": 1}) * True) == {Rat}
-    assert coeff_types(HElem({"y": 0.5})) == {Rat}
-    assert coeff_types(HElem({"y": 2}) * 3, 3 * HElem({"y": 2})) == {int}
+    mixed = HElem({"y": 1, "yx": Rat(1, 2)})
+    assert [(w, type(c)) for w, c in mixed.terms()] == [("y", Rat), ("yx", Rat)]
+    assert coeff_types(HElem({"y": 0.5}), HElem({"y": 3}) * 0.5) == {Rat}
+    assert coeff_types(HElem({"y": True}), HElem({"y": 1}) * True) == {int}
+    assert coeff_types(HElem({"y": Rat(3)}), HElem({"y": 1}) * Rat(3), HElem({"y": 2}) * Rat(1, 2)) == {int}
+    assert coeff_types(HElem({"y": 2}) * 3, 3 * HElem({"y": 2}), half * 2, half + half) == {int}
+
+
+def is_canonical(a: HElem) -> bool:
+    """Nonzero int numerators over a positive denominator that shares no
+    factor with all of them; the zero combination has denominator 1."""
+    values = list(a._terms.values())
+    return (type(a._den) is int and a._den > 0 and all(type(c) is int and c for c in values)
+            and gcd(a._den, *values) == 1)
+
+
+rat_dicts = st.dictionaries(h1_words, st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))),
+    max_size=4)
+
+
+@given(rat_dicts, rat_dicts, st.integers(-12, 12).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 12)))
+@settings(max_examples=60, deadline=None)
+def test_combination_arithmetic_matches_fraction_dicts(da, db, p, q):
+    a, b, s = HElem(da), HElem(db), Rat(p, q)
+    assert fraction_dict(a) == dict_sum((1, da))
+    expected = [
+        (a + b, dict_sum((1, da), (1, db))),
+        (a - b, dict_sum((1, da), (-1, db))),
+        (a * s, dict_sum((s, da))),
+        (s * a, dict_sum((s, da))),
+        (a * p, dict_sum((p, da))),
+        (a.concat(b), dict_product(da, db, lambda u, v: {u + v: 1})),
+        (shuffle(a, b), dict_product(da, db, naive_shuffle)),
+        (harmonic(a, b), dict_product(da, db, naive_harmonic_words)),
+        *zip(phi_hat(a, 3).coeffs, dict_phi_hat(da, 3)),
+    ]
+    for got, want in expected:
+        assert is_canonical(got)
+        assert fraction_dict(got) == want
+        assert coeff_types(got) <= ({int} if got._den == 1 else {Rat})
+    assert a + b - b == a
+    assert (a * s) * Rat(q, p) == a
+
+
+def test_add_into_takes_integer_combinations_only():
+    # the private dict it fills holds numerators over denominator 1
+    data = {"y": 1}
+    HElem({"y": 2, "yx": 1}).add_into(data, 3)
+    assert data == {"y": 7, "yx": 3}
+    for combo, scalar in ((HElem({"y": Rat(1, 2)}), 1), (HElem({"y": 1}), Rat(1, 2))):
+        with pytest.raises(ValueError):
+            combo.add_into(data, scalar)
+    assert data == {"y": 7, "yx": 3}
 
 
 def test_int_and_rat_coefficients_agree():
