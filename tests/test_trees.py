@@ -687,6 +687,65 @@ def test_symmetrization_at_high_degree(order):
     assert checked > 40
 
 
+def _caterpillar(color: str, spine: list, leaves: list) -> Tree:
+    """A spine of `color` vertices 0..n-1 joined by the indices `spine`, and
+    at spine vertex i one black leaf per index in `leaves[i]`."""
+    n = len(leaves)
+    edges = [(i, i + 1, k) for i, k in enumerate(spine)]
+    for i, ks in enumerate(leaves):
+        for k in ks:
+            edges.append((i, len(edges) + 1, k))
+    spine_ids, leaf_ids = range(n), range(n, len(edges) + 1)
+    black = [*spine_ids, *leaf_ids] if color == "b" else leaf_ids
+    white = [] if color == "b" else spine_ids
+    return Tree.build(0, black, white, edges)
+
+
+# caterpillars (leaves at every spine vertex) and brooms (a bristle of equal
+# leaves at the spine's end): most vertices are black leaves, which `kids`
+# writes as b() and `cap_phi_hat` keys at their parent
+LEAF_HEAVY = [
+    _caterpillar("b", [1, 2], [[1, 1], [2, 1, 2], [1, 2, 2, 1]]),
+    _caterpillar("b", [2, 1, 1, 2], [[2, 1], [1, 1], [2, 2, 1], [1, 2], [1, 1, 1, 1]]),
+    _caterpillar("b", [1, 1, 1], [[2, 2], [1, 2], [2, 1], [1, 1, 1, 1]]),
+    _caterpillar("w", [1, 2], [[0, 1, 1], [2, 1], [0, 2, 2, 1]]),
+    _caterpillar("w", [2, 1, 1], [[1, 2], [0, 1, 1], [2, 2], [0, 1, 2, 2]]),
+    _caterpillar("w", [1, 1, 2, 1], [[1, 1], [2, 1], [0, 2], [1, 2], [0, 1, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_symmetrization_on_leaf_heavy_trees(order):
+    # rooted at the first spine vertex if it is black, at that vertex's first
+    # leaf and at the last spine vertex's last leaf
+    checked = 0
+    for t in LEAF_HEAVY:
+        leaves = sorted(v for v in t.black if t.degree(v) == 1 and v != 0)
+        assert len(leaves) * 3 > 2 * len(t.vertices)
+        for root in sorted({0} & t.black) + [leaves[0], leaves[-1]]:
+            s = t.change_root(root)
+            assert _check_against_reference(s, order) >= len(s.black)
+            _check_keys(s, order)
+            checked += 1
+    assert checked == 15
+
+
+def test_kids_and_key_at_the_edges_of_the_leaf_rule():
+    # a root keeps its children whatever its degree; a black leaf is b()
+    for dsl, kids in (
+        ("b()", {0: []}),
+        ("b(1:b())", {1: [], 0: [(1, "b()", 1)]}),
+        ("b(0:w(1:b(),1:b()))",
+         {3: [], 2: [], 1: [(1, "b()", 2), (1, "b()", 3)], 0: [(0, "w(1:b(),1:b())", 1)]}),
+    ):
+        t = parse_tree(dsl)
+        assert list(t.kids.items()) == list(kids.items())
+        assert t.key == dsl
+    leaf = parse_tree("b(1:b())").change_root(1)
+    assert list(leaf.kids.items()) == [(0, []), (1, [(1, "b()", 0)])]
+    assert leaf.key == "b(1:b())"
+
+
 # --- combinations ---------------------------------------------------------------
 
 

@@ -75,6 +75,46 @@ def test_zeta_index_nested_order():
     assert zeta_index((1, 2), 4) == expected
 
 
+# --- the reversal congruence at primes -------------------------------------------
+
+# every nonempty index of weight <= 6, at primes p, modulo p^3
+REVERSAL_CASES = [(k, p) for k in all_indices(6) if k for p in (5, 7, 11, 13)]
+REVERSAL_ORDER = 3
+
+
+def reversal_failures(t_sign: int = 1) -> int:
+    """The cases where zeta_index(reverse(k), p) is not (-1)^wt(k) times the
+    sum over bump vectors l with wt(l) < N of b(k; l) (t_sign p)^wt(l)
+    zeta_index(k + l, p), modulo p^N.
+
+    Substituting n -> p - n reverses the order of the summation variables
+    and turns n^-k into (p - n)^-k = (-1)^k sum_l C(k + l - 1, l) p^l n^-(k+l).
+    b(k; l) = prod C(k_i + l_i - 1, l_i) is computed here with `math.comb`,
+    not read from `bumps`.  Every denominator is prime to p, as every
+    summation variable lies in 1..p-1."""
+    n, failures = REVERSAL_ORDER, 0
+    for k, p in REVERSAL_CASES:
+        rhs = 0
+        for l in itertools.product(range(n), repeat=len(k)):
+            if sum(l) < n:
+                b = math.prod(math.comb(ki + li - 1, li) for ki, li in zip(k, l))
+                bumped = tuple(ki + li for ki, li in zip(k, l))
+                rhs += b * (t_sign * p) ** sum(l) * zeta_index(bumped, p)
+        diff = zeta_index(k[::-1], p) - (-1) ** sum(k) * rhs
+        failures += diff.numerator % p**n != 0
+    return failures
+
+
+def test_reversal_congruence_at_primes():
+    assert len(REVERSAL_CASES) == 252
+    assert reversal_failures() == 0
+
+
+def test_reversal_congruence_catches_t_to_minus_t():
+    # p^wt(l) read as (-p)^wt(l): most cases fail
+    assert reversal_failures(-1) == 206
+
+
 def test_zeta_tree_examples():
     assert zeta_tree(unit_tree(), 5) == 1
     assert zeta_tree(star_tree(0, (1, 1)), 3) == 1
