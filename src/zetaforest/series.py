@@ -52,7 +52,7 @@ class TSeries:
         return TSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order)
 
     def scale(self, scalar) -> "TSeries":
-        return TSeries(tuple(scalar * a for a in self.coeffs), self.order)
+        return TSeries(tuple(a * scalar for a in self.coeffs), self.order)
 
     def map(self, f: Callable) -> "TSeries":
         """Apply a linear map coefficientwise."""

@@ -11,7 +11,8 @@ with the outermost node the root and whitespace insignificant.  Children are
 rendered sorted by (edge index, child encoding), so two trees are isomorphic
 (root-, color- and index-preserving) exactly when their keys coincide.  One
 walk per tree computes that order and the key; `Tree.kids` caches it, and
-`key`, `tree_to_json` and `cap_phi_hat` read it.
+`key`, `tree_to_json` and `cap_phi_hat` read it.  A black leaf costs that
+walk no sort or join: its encoding is the constant b().
 
 Every terminal vertex must be black; a vertex of degree <= 1 counts as a
 terminal, so the single-vertex tree must be black (it is the unit of the
@@ -25,8 +26,10 @@ bumped path indices.  A term is an isomorphism class, named by its key:
 `cap_phi_hat` keys every term in one walk down the input, where each vertex
 hands its children the encodings of what lies above them, so a shared path
 prefix is encoded once and each term costs one encoding of its new root,
-joined from the term's new child and two strings per sibling slot.
-`symmetrization_terms` parses its trees back from those keys.
+joined from the term's new child and two strings per sibling slot.  A black
+leaf is not visited: its parent keys the leaf's terms, b(k:s) for each
+encoding s of what lies above the leaf.  `symmetrization_terms` parses its
+trees back from those keys.
 """
 
 from __future__ import annotations
@@ -158,14 +161,20 @@ class Tree:
         """Every vertex's children in canonical order, as (edge index, child
         DSL, child) triples sorted by index, then DSL, children before
         parents: one post-order walk without recursion, which also caches
-        `key`, the root's DSL."""
+        `key`, the root's DSL.  A non-root vertex of degree 1 is a leaf,
+        black in a valid tree: it gets no children and the DSL b() with no
+        sort or join.  The root is never taken for a leaf, whatever its
+        degree."""
         adj, par = self.adj, self.parent
         dsl: dict[int, str] = {}
         kids: dict[int, list] = {}
         # the parent map lists every vertex after its parent
         for v in reversed(par):
-            p = par[v]
-            kv = kids[v] = sorted([(k, dsl.pop(u), u) for u, k in adj[v].items() if u != p])
+            p, nb = par[v], adj[v]
+            if len(nb) == 1 and p is not None:  # a leaf, black in a valid tree
+                kids[v], dsl[v] = [], "b()"
+                continue
+            kv = kids[v] = sorted([(k, dsl.pop(u), u) for u, k in nb.items() if u != p])
             dsl[v] = ("b(" if v in self.black else "w(") + ",".join([f"{k}:{e}" for k, e, _ in kv]) + ")"
         self.__dict__["key"] = dsl[self.root]
         return kids
@@ -450,47 +459,55 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     indices ks of the root-to-v path raised by a bump vector l with
     wt(l) = d < order, at t^d with weight (-1)^wt(ks) b(ks; l), summed by key.
 
-    One walk down the parent map keeps, per vertex a, entries (k, s, degree,
-    coefficient) for the part of `t` outside a's subtree, encoded as s and
-    entering a through index k.  The root has one entry, which hangs
-    nothing, from `bumps((), order)`, which also rejects an order below 1.
-    a groups its entries by slot: where "k:s" goes among its children,
-    sorted by (index, DSL).  Leaving out one child or none, a slot splits
-    the rest of a's encoding into a prefix and a suffix, built once for the
-    whole group, and an entry's encoding is prefix + "k:s" + suffix.  With
-    none left out, a black a adds that encoding, its term's key, to its
-    degree's row; with child u left out, the encoding is s of u's entries,
-    one per bump of u's edge, each edge index's bumps expanded once per
-    call.  Per-edge signs and b-binomials multiply to the path's.  So a
-    shared path prefix is encoded once, each entry or term costs one
-    encoding, O(V) characters, nothing recurses and no tree is built.
+    One walk down the tree, parents before children, hands each vertex a
+    that has children its entries (k, "k:s", degree, coefficient) for the
+    part of `t` outside a's subtree, encoded as s and entering a through
+    index k.  The root has one entry, which hangs nothing, from
+    `bumps((), order)`, which also rejects an order below 1.  a groups its
+    entries by slot: where "k:s" goes among its children's "k:e", sorted by
+    (index, "k:e"), which is (index, DSL) order.  Leaving out one child or
+    none, a slot splits the rest of a's encoding into a prefix and a
+    suffix, built once for the whole group, and an entry's encoding is
+    prefix + "k:s" + suffix.  With none left out, a black a adds that
+    encoding, its term's key, to its degree's row.  With child u left out,
+    each bump of u's edge that keeps the degree below `order` gives one
+    string: u's entry "kb:s" if u has children, else, u being a black
+    leaf, the key "b(kb:s)" of u's term, added straight to its row.  Each
+    edge index's bumps are cut by entry degree once per call.  Per-edge
+    signs and b-binomials multiply to the path's.  So a shared path prefix
+    is encoded once, each entry or term costs one string build, O(V)
+    characters, nothing recurses and no tree is built.
     """
     if t.root not in t.black:
         raise RootNotBlack("the symmetrization maps need a black root")
     _positive_blocks(t)
-    kids = t.kids
+    kids, black = t.kids, t.black
     rows: list[dict] = [{} for _ in range(order)]
-    fans: dict[int, list] = {}  # edge index -> its bumps, by degree
-    above = {t.root: [(None, None, d, c) for _, d, c in bumps((), order)]}
-    for a in t.parent:  # every vertex after its parent
-        pairs = [(k, e) for k, e, _ in kids[a]]
-        items = [f"{k}:{e}" for k, e in pairs]
-        head = "b(" if a in t.black else "w("
+    cuts: dict[int, list] = {}  # edge index -> by entry degree, its bumps that fit
+    todo = [(t.root, [(None, "", d, c) for _, d, c in bumps((), order)])]
+    while todo:
+        a, entries = todo.pop()
+        pairs = [(k, f"{k}:{e}") for k, e, _ in kids[a]]
+        items = [ke for _, ke in pairs]
+        head = "b(" if a in black else "w("
         slots: dict[int, list] = {}  # slot -> its entries as ("k:s", degree, coefficient)
-        for k, s, d, c in above.pop(a):
-            if s is None:  # the root's entry hangs nothing: slot -1
-                slots.setdefault(-1, []).append(("", d, c))
-            else:
-                slots.setdefault(bisect(pairs, (k, s)), []).append((f"{k}:{s}", d, c))
+        for k, ks, d, c in entries:
+            # the root's entry hangs nothing: slot -1
+            slots.setdefault(-1 if k is None else bisect(pairs, (k, ks)), []).append((ks, d, c))
         m = len(pairs)
-        for i in range(m + (a in t.black)):  # the child left out; i == m: none
+        for i in range(m + (a in black)):  # the child left out; i == m: none
             rest = items[:i] + items[i + 1 :]
             if i < m:
                 ku, _, u = kids[a][i]
-                fan = fans.get(ku)
-                if fan is None:
-                    fan = fans[ku] = list(bumps((ku,), order))
-                out = above[u] = []
+                cut = cuts.get(ku)
+                if cut is None:
+                    fan = list(bumps((ku,), order))
+                    cut = cuts[ku] = [[(kb, d + db, cb) for (kb,), db, cb in fan if d + db < order]
+                                      for d in range(order)]
+                leaf = not kids[u]
+                if not leaf:
+                    out = []
+                    todo.append((u, out))
             for j, group in slots.items():
                 j -= i < j  # the slot among the rest
                 if j < 0:
@@ -502,13 +519,13 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
                 if i == m:
                     for hang, d, c in group:
                         accumulate(rows[d], pre + hang + suf, c)
-                    continue
-                for hang, d, c in group:
-                    s = pre + hang + suf
-                    for (kb,), db, cb in fan:
-                        if d + db >= order:
-                            break
-                        out.append((kb, s, d + db, c * cb))
+                elif leaf:  # u's term: u, a black leaf, under the rest as its one child
+                    for hang, d, c in group:
+                        for kb, deg, cb in cut[d]:
+                            accumulate(rows[deg], f"b({kb}:{pre}{hang}{suf})", c * cb)
+                else:
+                    out += [(kb, f"{kb}:{pre}{hang}{suf}", deg, c * cb)
+                            for hang, d, c in group for kb, deg, cb in cut[d]]
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 

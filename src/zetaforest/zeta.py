@@ -48,13 +48,14 @@ reference in ``tests/enum_oracles.py``.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING
 
-from .errors import UnknownVertex
+from .errors import BadIndex, UnknownVertex
 from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
@@ -146,7 +147,10 @@ def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
     n = 0..cap, as numerators over L^(k+l).  Entry 0 is 0, so these rows
     are also a black leaf's vector times the factor.  Rows are tuples
-    because every walk with the same L, cap and order shares them."""
+    because every walk with the same L, cap and order shares them.  Raises
+    BadIndex for k above sys.maxsize, whose powers would not end."""
+    if k > sys.maxsize:
+        raise BadIndex(f"edge indices must be <= {sys.maxsize}: {k}")
     quot = [0] + [L // n for n in range(1, cap + 1)]
     if not flip:
         return (tuple(q**k for q in quot),)

@@ -250,6 +250,14 @@ def test_index_entry_past_maxsize_is_an_input_error(capsys, argv):
     assert run_cli(capsys, *argv) == (2, "", message)
 
 
+@pytest.mark.parametrize("command", ["zeta-tree", "zeta-shat"])
+def test_edge_index_past_maxsize_is_an_input_error(capsys, command):
+    # an edge index past sys.maxsize is rejected before its powers are taken
+    message = f"error: edge indices must be <= {sys.maxsize}: 99999999999999999999\n"
+    argv = [command, "--tree", "b(99999999999999999999:b())", "-M", "3"]
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
 def test_tree_errors_say_what_is_wrong(capsys):
     # the key, then the reason; stdout stays empty and the exit code is 2
     for argv, message in (
