@@ -1,12 +1,15 @@
 """Verification suites: machine checks of the algebraic identities.
 
-Each suite makes its deterministic case list (seeded where random) from a
-list of inputs, checks an exact equality per case, and reports each
-failure's minimized counterexample once.  A failing case is replaced by the
-first of its one-step shrinks that still fails, as long as one does: an
-index has one entry lowered by 1 or dropped, and a tree has one edge index
-lowered by 1 or one non-root leaf dropped.  Each shrink is again a valid
-input of its suite.
+A suite is a list of tables (inputs, key, check, shrinks): deterministic
+inputs (seeded where random), an input's canonical key, an exact check that
+returns a failure's detail or None, and an input's one-step shrinks, each
+again a valid input: an index has one entry lowered by 1 or dropped, and a
+tree has one edge index lowered by 1 or one non-root leaf dropped.
+`run_suite` sweeps every input, then replaces each failing one by the first
+of its shrinks that still fails, as long as one does, and reports each
+minimum once.  The descent reads the sweep's results by key, so each
+distinct case is checked at most once per run; keys suffice, as every check
+depends only on the isomorphism class of its input.
 
 The catalog, tree and oracle layers are imported by the builders and suites
 that call them, so the word suites (btt, t-btt, kaneko) load none of them.
@@ -38,6 +41,9 @@ class RunConfig:
     count: int = 100
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:  # bool included
+                raise BadRunConfig(f"{name} must be an int, got {value!r}")
         for name in ("t_order", "m_max", "weight_max"):
             if getattr(self, name) < 1:
                 raise BadRunConfig(f"{name} must be >= 1")
@@ -45,13 +51,6 @@ class RunConfig:
             raise BadRunConfig("seed must be >= 0")
         if self.count < 1:
             raise BadRunConfig("count must be >= 1")
-
-
-@dataclass
-class Case:
-    key: str
-    check: Callable[[], Optional[str]]
-    shrink: Callable[[], list]
 
 
 @dataclass
@@ -208,15 +207,10 @@ def root_change_rhs(terms: list, M: int, order: int) -> TSeries:
 
 
 def _cases(inputs: list, key: Callable, check: Callable,
-           shrinks: Callable = lambda x: ()) -> list[Case]:
-    """One case per input: keyed by `key(x)`, checked by `check(x)`, and
-    shrunk to the cases of the inputs `shrinks(x)`."""
-
-    def make(x) -> Case:
-        return Case(key=key(x), check=lambda: check(x),
-                    shrink=lambda: [make(y) for y in shrinks(x)])
-
-    return [make(x) for x in inputs]
+           shrinks: Callable = lambda x: ()) -> list[tuple]:
+    """A suite's one table: its inputs, each keyed by `key(x)`, checked by
+    `check(x)` (a failure's detail, or None), and shrunk to `shrinks(x)`."""
+    return [(inputs, key, check, shrinks)]
 
 
 def _commas(ks: Tuple_) -> str:
@@ -259,7 +253,7 @@ def _tree_shrinks(t: Tree) -> list:
 
 
 def _skip_one_cases(cfg: RunConfig, depths: tuple, suffix: str,
-                    lhs: Callable, rhs: Callable) -> list[Case]:
+                    lhs: Callable, rhs: Callable) -> list[tuple]:
     """The BTT cases: every index of depth r + 1, r in `depths`, shrunk to
     indices of depth >= 2."""
     idxs = [ks for r in depths for ks in all_indices(cfg.weight_max) if len(ks) == r + 1]
@@ -268,17 +262,17 @@ def _skip_one_cases(cfg: RunConfig, depths: tuple, suffix: str,
                   lambda ks: [s for s in _index_shrinks(ks) if len(s) >= 2])
 
 
-def _suite_btt(cfg: RunConfig) -> list[Case]:
+def _suite_btt(cfg: RunConfig) -> list[tuple]:
     return _skip_one_cases(cfg, (1, 2, 3), "", btt_lhs, btt_rhs)
 
 
-def _suite_t_btt(cfg: RunConfig) -> list[Case]:
+def _suite_t_btt(cfg: RunConfig) -> list[tuple]:
     order = cfg.t_order
     return _skip_one_cases(cfg, (1, 2), f" t_order={order}",
                            lambda ks: t_btt_lhs(ks, order), lambda ks: t_btt_rhs(ks, order))
 
 
-def _suite_kaneko(cfg: RunConfig) -> list[Case]:
+def _suite_kaneko(cfg: RunConfig) -> list[tuple]:
     order = cfg.t_order
 
     def check(pair: tuple) -> Optional[str]:
@@ -298,7 +292,7 @@ def _suite_kaneko(cfg: RunConfig) -> list[Case]:
     return _cases(pairs, _pair_key, check, shrinks)
 
 
-def _suite_vanish(cfg: RunConfig) -> list[Case]:
+def _suite_vanish(cfg: RunConfig) -> list[tuple]:
     from .catalog import symmetric_hybrid_tree
     from .trees import cap_phi, harvestable_form, w_word
 
@@ -317,7 +311,7 @@ def _suite_vanish(cfg: RunConfig) -> list[Case]:
     return _cases(trees, lambda t: f"tree={t.key}", check)
 
 
-def _suite_root_change(cfg: RunConfig) -> list[Case]:
+def _suite_root_change(cfg: RunConfig) -> list[tuple]:
     """One case per (tree, M), each with its tree's harvested terms, which
     are built once for every M."""
     from .catalog import harvestable_catalog
@@ -343,7 +337,7 @@ def _suite_root_change(cfg: RunConfig) -> list[Case]:
     return _cases(inputs, lambda x: f"tree={x[0].key} M={x[1]} t_order={order}", check, shrinks)
 
 
-def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[Case]:
+def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[tuple]:
     """One case per tree of the builtin catalog, every one essentially
     positive with a black root, keyed by the tree and shrunk by
     `_tree_shrinks`."""
@@ -352,7 +346,7 @@ def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[Case]:
     return _cases(builtin_catalog(), lambda t: f"tree={t.key}", check, _tree_shrinks)
 
 
-def _suite_harvest(cfg: RunConfig) -> list[Case]:
+def _suite_harvest(cfg: RunConfig) -> list[tuple]:
     from .trees import harvestable_form, is_harvestable
     from .zeta import zeta_shat_tree, zeta_tree
 
@@ -373,7 +367,7 @@ def _suite_harvest(cfg: RunConfig) -> list[Case]:
     return _catalog_cases(check)
 
 
-def _suite_main(cfg: RunConfig) -> list[Case]:
+def _suite_main(cfg: RunConfig) -> list[tuple]:
     from .zeta import z_m_series
 
     order = cfg.t_order
@@ -393,7 +387,7 @@ def _suite_main(cfg: RunConfig) -> list[Case]:
     return _catalog_cases(check)
 
 
-def _suite_algebra(cfg: RunConfig) -> list[Case]:
+def _suite_algebra(cfg: RunConfig) -> list[tuple]:
     from .zeta import z_m_eval
 
     idxs = all_indices(cfg.weight_max)
@@ -438,7 +432,7 @@ def _suite_algebra(cfg: RunConfig) -> list[Case]:
             + _cases(triples, lambda x: f"triple#{x[0]:03d} {x[1]}/{x[2]}/{x[3]}", triple_check))
 
 
-def _suite_assoc(cfg: RunConfig) -> list[Case]:
+def _suite_assoc(cfg: RunConfig) -> list[tuple]:
     from .catalog import random_harvestable, unit_tree
     from .trees import circ_h
 
@@ -477,30 +471,26 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _minimize(case: Case, detail: str) -> tuple[Case, str]:
-    improved = True
-    while improved:
-        improved = False
-        for cand in case.shrink():
-            d = cand.check()
-            if d is not None:
-                case, detail = cand, d
-                improved = True
-                break
-    return case, detail
-
-
 def run_suite(name: str, cfg: RunConfig) -> Report:
     try:
         gen = _SUITES[name]
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    cases = gen(cfg)
+    cases = 0
     failures: dict[str, Failure] = {}  # one per distinct minimized case
-    for case in cases:
-        detail = case.check()
-        if detail is not None:
-            mcase, mdetail = _minimize(case, detail)
-            failures.setdefault(mcase.key, Failure(mcase.key, mdetail))
-    return Report(suite=name, config=asdict(cfg), cases=len(cases),
+    for inputs, key, check, shrinks in gen(cfg):
+        seen: dict[str, Optional[str]] = {}  # key -> detail, None if it passed
+
+        def detail(x) -> Optional[str]:
+            k = key(x)
+            if k not in seen:
+                seen[k] = check(x)
+            return seen[k]
+
+        for x in [x for x in inputs if detail(x) is not None]:  # sweep, then descend
+            while (y := next((y for y in shrinks(x) if detail(y) is not None), None)) is not None:
+                x = y  # the first failing shrink, until none fails
+            failures.setdefault(key(x), Failure(key(x), detail(x)))
+        cases += len(inputs)
+    return Report(suite=name, config=asdict(cfg), cases=cases,
                   failures=[failures[k] for k in sorted(failures)])

@@ -8,9 +8,9 @@ the depth or in the number of black vertices, and independent of the dynamic
 programs in ``zetaforest.zeta`` that they check.  ``z_m_eval`` adds one
 ``Rat`` per term, where the library sums integer numerators.
 ``symmetrization_reference`` rebuilds every re-rooted tree of the t-adic
-tree map from scratch, independent of the shared walk in
-``zetaforest.trees`` that it checks.  ``naive_shuffle`` and
-``naive_harmonic`` choose positions, not prefixes, as the word kernel does.
+tree map from scratch, with weights from ``math.comb``, independent of the
+shared walk in ``zetaforest.trees`` that it checks and of ``bumps``.
+``naive_shuffle`` and ``naive_harmonic`` choose positions, not prefixes, as the word kernel does.
 The ``dict_*`` functions redo the arithmetic of word combinations on plain
 dicts of ``Fraction``, one term at a time, where ``zetaforest.combo`` keeps
 integer numerators over one denominator.
@@ -21,11 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from zetaforest.errors import UnknownVertex
-from zetaforest.indices import Tuple_, bumps
+from zetaforest.indices import Tuple_
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.symmetrize import phi_hat
@@ -181,9 +181,13 @@ def symmetrization_reference(t: Tree, order: int) -> list:
     """Every term of the t-adic tree map as (degree, coefficient, key, root,
     edges), one re-rooted tree built afresh per term.
 
-    For each black v and each term of `bumps` on the indices of the path from
-    v up to the root, the tree with those indices bumped is rebuilt with
-    `Tree.build` at root v and keyed by a fresh canonical walk.
+    For each black v, with ks the indices of the path from v up to the root,
+    and each bump vector l with wt(l) < order, the tree with the path's
+    indices raised to ks + l is rebuilt with `Tree.build` at root v and keyed
+    by a fresh canonical walk.  Its weight (-1)^wt(ks) prod C(k_i + l_i - 1,
+    l_i), a factor 1 where l_i = 0, is computed here, not read from `bumps`;
+    zero weights (l_i > 0 on a 0-edge) are dropped.  The l of weight d are
+    the compositions of d + depth into depth positive parts, less 1 each.
     """
     out = []
     for v in sorted(t.black):
@@ -192,11 +196,16 @@ def symmetrization_reference(t: Tree, order: int) -> list:
             path.append(t.parent[path[-1]])
         steps = [frozenset(e) for e in zip(path, path[1:])]
         ks = tuple(t.adj[a][b] for a, b in zip(path, path[1:]))
-        for bumped, d, c in bumps(ks, order):
-            raised = dict(zip(steps, bumped))
-            edges = [(a, b, raised.get(frozenset((a, b)), k)) for a, b, k in t.edges]
-            s = Tree.build(v, t.black, t.white, edges)
-            out.append((d, c, s.key, s.root, s.edges))
+        for d in range(order):
+            for parts in positive_compositions(d + len(ks), len(ks)):
+                ls = [part - 1 for part in parts]
+                c = (-1) ** sum(ks) * prod(comb(k + l - 1, l) if l else 1 for k, l in zip(ks, ls))
+                if not c:
+                    continue
+                raised = {step: k + l for step, k, l in zip(steps, ks, ls)}
+                edges = [(a, b, raised.get(frozenset((a, b)), k)) for a, b, k in t.edges]
+                s = Tree.build(v, t.black, t.white, edges)
+                out.append((d, c, s.key, s.root, s.edges))
     return out
 
 

@@ -160,27 +160,25 @@ def test_tree_validity_has_one_home():
     assert found == []
 
 
-def _case_calls(module: ast.Module):
-    """(line, function) of every `Case(...)` call, with the name of the
-    top-level function that holds it, or None at module level."""
-    for top in module.body:
-        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            f = node.func if isinstance(node, ast.Call) else None
-            if isinstance(f, ast.Name) and f.id == "Case" or isinstance(f, ast.Attribute) and f.attr == "Case":
-                yield node.lineno, name
+def _from_indices(module: ast.Module):
+    """The names a module imports from `zetaforest.indices`, the module
+    itself included when it is imported whole."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "zetaforest.indices":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "zetaforest":
+            yield from (alias.name for alias in node.names if alias.name == "indices")
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name == "zetaforest.indices")
 
 
-def test_case_construction_has_one_home():
-    # every verify suite hands a list of inputs to verify._cases, which makes
-    # each case and its shrinks, so no suite builds a Case of its own
-    sample = "def _cases():\n    return Case(1)\ndef suite():\n    return v.Case(2)\nc = Case(3)"
-    assert list(_case_calls(ast.parse(sample))) == [(2, "_cases"), (4, "suite"), (5, None)]
-    package = Path(zetaforest.__file__).parent
-    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
-             for line, name in _case_calls(ast.parse(path.read_text()))
-             if (path.name, name) != ("verify.py", "_cases")]
-    assert found == []
+def test_reference_oracles_share_no_enumerator():
+    # the brute-force references enumerate bump vectors and weigh them with
+    # math.comb themselves, so a fault in indices.bumps cannot reach them
+    sample = "from zetaforest.indices import A, B\nfrom zetaforest import indices, trees\nimport zetaforest.indices"
+    assert list(_from_indices(ast.parse(sample))) == ["A", "B", "indices", "zetaforest.indices"]
+    oracles = Path(__file__).resolve().parent / "enum_oracles.py"
+    assert set(_from_indices(ast.parse(oracles.read_text()))) == {"Tuple_"}
 
 
 # defined in the package but named nowhere in it (outside __init__.py) or in

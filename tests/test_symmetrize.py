@@ -145,9 +145,11 @@ def test_phi_hat_of_integral_rationals_is_its_integer_twin():
 
 # every nonempty index of weight <= 6, at primes p and t-orders N
 INDEX_CONGRUENCE_CASES = [(k, p, n) for k in all_indices(6) if k for p in (5, 7, 11, 13) for n in (2, 3, 4)]
+# the same at N = 5, where the terms of degree 4 first count
+INDEX_CONGRUENCE_CASES_N5 = [(k, p, 5) for k in all_indices(6) if k for p in (5, 7, 11, 13)]
 
 
-def index_congruence_failures() -> int:
+def index_congruence_failures(cases: list = INDEX_CONGRUENCE_CASES) -> int:
     """The cases where z_shat(z_k, p, N) at t = p is not (depth(k) + 1) *
     zeta_index(k, p) modulo p^N.
 
@@ -157,7 +159,7 @@ def index_congruence_failures() -> int:
     base lies in 1..p-1.  So the difference, in lowest terms, has a
     numerator divisible by p^N."""
     failures = 0
-    for k, p, n in INDEX_CONGRUENCE_CASES:
+    for k, p, n in cases:
         at_p = sum(c * p**d for d, c in enumerate(z_shat(z(k), p, n).coeffs))
         failures += (at_p - (len(k) + 1) * zeta_index(k, p)).numerator % p**n != 0
     return failures
@@ -178,5 +180,25 @@ def test_index_congruence_catches_t_to_minus_t(monkeypatch):
     _phi_hat_index.cache_clear()
     try:
         assert index_congruence_failures() == 636
+    finally:
+        _phi_hat_index.cache_clear()
+
+
+def test_index_congruence_at_degree_five():
+    assert len(INDEX_CONGRUENCE_CASES_N5) == 252
+    assert index_congruence_failures(INDEX_CONGRUENCE_CASES_N5) == 0
+
+
+def test_index_congruence_catches_weights_wrong_from_degree_four(monkeypatch):
+    # phi_hat's weights doubled from t-degree 4 up: invisible below N = 5
+    def doubled(ks, order):
+        for bumped, d, c in bumps(ks, order):
+            yield bumped, d, 2 * c if d >= 4 else c
+
+    monkeypatch.setattr(symmetrize, "bumps", doubled)
+    _phi_hat_index.cache_clear()
+    try:
+        assert index_congruence_failures() == 0
+        assert index_congruence_failures(INDEX_CONGRUENCE_CASES_N5) == 172
     finally:
         _phi_hat_index.cache_clear()

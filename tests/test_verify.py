@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from zetaforest import trees, verify
 from zetaforest.catalog import builtin_catalog, random_tree
-from zetaforest.errors import BadIndex, BadOrder, UnknownSuite
+from zetaforest.errors import BadIndex, BadOrder, BadRunConfig, UnknownSuite
 from zetaforest.series import TSeries
 from zetaforest.trees import Tree, harvestable_form, parse_tree
 from zetaforest.verify import (
     SUITE_NAMES,
-    Case,
     RunConfig,
-    _minimize,
     btt_lhs,
     btt_rhs,
     harvested_terms,
@@ -58,40 +56,27 @@ def test_run_config_validation():
         RunConfig(t_order=0)
     with pytest.raises(ValueError):
         RunConfig(seed=-1)
+    # a float, a string or a bool once raised a bare TypeError in run_suite,
+    # or ran and printed itself in the report
+    for field in ({"weight_max": 2.5}, {"t_order": 2.0}, {"m_max": "3"}, {"count": 1.5},
+                  {"seed": 0.5}, {"t_order": True}):
+        with pytest.raises(BadRunConfig, match=f"{next(iter(field))} must be an int"):
+            RunConfig(**field)
 
 
-def test_minimizer_reduces_indices():
+def test_minimizer_reduces_indices(monkeypatch):
     # an artificial predicate failing whenever the weight is at least 4;
-    # the minimizer should walk down to a minimal failing index
-    def make(ks):
-        if not ks or not all(e >= 1 for e in ks):
-            return None
+    # run_suite should walk down to a minimal failing index
+    def check(ks):
+        return f"weight={sum(ks)}" if sum(ks) >= 4 else None
 
-        def check():
-            return f"weight={sum(ks)}" if sum(ks) >= 4 else None
-
-        def shrink():
-            out = []
-            for i, e in enumerate(ks):
-                if e > 1:
-                    c = make(ks[:i] + (e - 1,) + ks[i + 1 :])
-                    if c:
-                        out.append(c)
-            for i in range(len(ks)):
-                c = make(ks[:i] + ks[i + 1 :])
-                if c:
-                    out.append(c)
-            return out
-
-        return Case(key=f"index={ks}", check=check, shrink=shrink)
-
-    case = make((3, 2, 3))
-    detail = case.check()
-    assert detail is not None
-    mcase, mdetail = _minimize(case, detail)
-    assert mdetail == "weight=4"
-    key = mcase.key
-    ks = eval(key.split("=")[1])
+    monkeypatch.setitem(verify._SUITES, "fake", lambda cfg: verify._cases(
+        [(3, 2, 3)], lambda ks: f"index={ks}", check, verify._index_shrinks))
+    report = run_suite("fake", CFG)
+    assert report.cases == 1
+    [failure] = report.failures
+    assert failure.detail == "weight=4"
+    ks = eval(failure.case.split("=")[1])
     assert sum(ks) == 4
 
 
@@ -244,3 +229,35 @@ def test_main_failure_is_minimized_to_four_vertices(monkeypatch):
     assert _failed_keys(report) == ["tree=b(0:w(0:w(1:b())))", "tree=b(0:w(1:b(),1:b()))",
                                     "tree=b(1:b(1:b(),1:b()))", "tree=b(1:b(1:b(1:b())))"]
     assert all(f.detail.startswith("word identity:") for f in report.failures)
+
+
+def test_closed_suite_runs_no_check_after_its_sweep(monkeypatch):
+    # every shrink of a btt index is an input of the sweep, so the descent
+    # reads its results and checks nothing more: one check per case
+    calls = []
+    right = verify.btt_rhs
+
+    def rhs(ks):
+        calls.append(ks)
+        return right(ks) + Z1 if sum(ks) >= 4 else right(ks)
+
+    monkeypatch.setattr(verify, "btt_rhs", rhs)
+    report = run_suite("btt", RunConfig(weight_max=5))
+    assert report.cases == len(calls) == 25
+    assert len(report.failures) == 7
+
+
+def test_catalog_suite_checks_each_distinct_tree_once(monkeypatch):
+    # the catalog is not closed under shrinks: the descent checks a shrink
+    # the first time it meets it, and reads every later meeting by key
+    keys = []
+    right = verify.main_lhs
+
+    def lhs(t, order):
+        keys.append(t.key)
+        return _plus_at(right(t, order), 1, Z1) if len(t.vertices) >= 4 else right(t, order)
+
+    monkeypatch.setattr(verify, "main_lhs", lhs)
+    report = run_suite("main", RunConfig(t_order=2, m_max=3))
+    assert len(keys) == len(set(keys)) == 72
+    assert len(report.failures) == 4

@@ -115,6 +115,66 @@ def test_reversal_congruence_catches_t_to_minus_t():
     assert reversal_failures(-1) == 206
 
 
+# --- the tree and word congruences at primes ---------------------------------------
+
+# one seeded tree per isomorphism class, b() left out: zeta_shat_tree(b(), M, N)
+# is 0, while B * zeta_tree(b(), p) is 1
+_DRAWS = random.Random(15)
+CONGRUENCE_TREES = list({t.key: t for t in (random_tree(_DRAWS, max_vertices=5, k_cap=2)
+                                            for _ in range(400)) if len(t.vertices) > 1}.values())
+CONGRUENCE_CASES = [(t, p) for t in CONGRUENCE_TREES for p in (5, 7)]
+CONGRUENCE_ORDER = 3
+
+
+def tree_congruence_failures() -> tuple:
+    """The cases where zeta_shat_tree(X, p, N), and where z_shat of the word
+    of X's harvestable form, at t = p is not B * zeta_tree(X, p) modulo p^N,
+    B the number of black vertices of X; the counts on the tree side and on
+    the word side.
+
+    With t = p each flipped base -a + t is p - a, so each of the B re-rooted
+    sums is zeta_tree(X, p), and the truncation at t^N costs a multiple of
+    p^N; every denominator is prime to p, as every base lies in 1..p-1."""
+    from zetaforest.trees import harvestable_form, w_word
+
+    n, failures = CONGRUENCE_ORDER, [0, 0]
+    for t, p in CONGRUENCE_CASES:
+        expected = len(t.black) * zeta_tree(t, p)
+        sides = (zeta_shat_tree(t, p, n), z_shat(w_word(harvestable_form(t)), p, n))
+        for i, side in enumerate(sides):
+            at_p = sum(c * p**d for d, c in enumerate(side.coeffs))
+            failures[i] += (at_p - expected).numerator % p**n != 0
+    return tuple(failures)
+
+
+def test_tree_and_word_congruences_at_primes():
+    assert len(CONGRUENCE_TREES) == 119 and len(CONGRUENCE_CASES) == 238
+    assert tree_congruence_failures() == (0, 0)
+
+
+def test_tree_and_word_congruences_catch_t_to_minus_t(monkeypatch):
+    # the tree sums' and phi_hat's expansions read at -t instead of t
+    from zetaforest import symmetrize, zeta
+    from zetaforest.indices import bumps
+    from zetaforest.symmetrize import _phi_hat_index
+
+    def flipped(ks, order):
+        for bumped, d, c in bumps(ks, order):
+            yield bumped, d, (-1) ** d * c
+
+    def clear():
+        _phi_hat_index.cache_clear()
+        zeta._edge_factors.cache_clear()
+
+    for module in (symmetrize, zeta):
+        monkeypatch.setattr(module, "bumps", flipped)
+    clear()
+    try:
+        assert tree_congruence_failures() == (224, 224)
+    finally:
+        clear()
+
+
 def test_zeta_tree_examples():
     assert zeta_tree(unit_tree(), 5) == 1
     assert zeta_tree(star_tree(0, (1, 1)), 3) == 1
