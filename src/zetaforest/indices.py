@@ -25,17 +25,15 @@ def weight(k: Tuple_) -> int:
     return sum(k)
 
 
-def is_index(k: Tuple_) -> bool:
-    """True iff every entry is >= 1 (the empty tuple qualifies)."""
-    return all(e >= 1 for e in k)
-
-
 def check_index(k: Tuple_) -> Tuple_:
-    """k as a tuple; its entries must be positive and at most sys.maxsize,
-    past which no word or range of that length can be built."""
-    if not is_index(k):
-        raise BadIndex(f"index entries must be positive: {k}")
-    if max(k, default=0) > sys.maxsize:
+    """k as a tuple; its entries must be ``int``s (``bool`` excluded),
+    positive and at most sys.maxsize, past which no word or range of that
+    length can be built.  The empty tuple qualifies."""
+    if not all(type(e) is int and 0 < e <= sys.maxsize for e in k):
+        if any(type(e) is not int for e in k):
+            raise BadIndex(f"index entries must be ints: {k}")
+        if min(k) < 1:
+            raise BadIndex(f"index entries must be positive: {k}")
         raise BadIndex(f"index entries must be <= {sys.maxsize}: {k}")
     return tuple(k)
 

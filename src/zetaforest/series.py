@@ -31,10 +31,6 @@ class TSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def zeros(cls, zero, order: int) -> "TSeries":
-        return cls((zero,) * order, order)
-
     def _check(self, other: "TSeries") -> None:
         if self.order != other.order:
             raise OrderMismatch(f"order {self.order} vs {other.order}")

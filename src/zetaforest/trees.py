@@ -124,16 +124,10 @@ class Tree:
         for u, v, k in edges:
             if type(k) is not int:
                 raise InvalidTree(f"edge {u}-{v} carries index {k!r}, not an int")
-        t = cls._unchecked(root, black, white, edges)
+        es = tuple(sorted((min(u, v), max(u, v), k) for u, v, k in edges))
+        t = cls(root, frozenset(black), frozenset(white), es)
         t.validate()
         return t
-
-    @classmethod
-    def _unchecked(cls, root: int, black: Iterable[int], white: Iterable[int],
-                   edges: Iterable[tuple[int, int, int]]) -> "Tree":
-        """`build` without `validate`, for trees valid by construction."""
-        es = tuple(sorted((min(u, v), max(u, v), k) for u, v, k in edges))
-        return cls(root, frozenset(black), frozenset(white), es)
 
     @cached_property
     def vertices(self) -> frozenset:
@@ -297,10 +291,14 @@ def circ_product(a: Tree, b: Tree) -> Tree:
     def m(v: int) -> int:
         return a.root if v == b.root else v + offset
 
-    black = set(a.black) | {m(v) for v in b.black}
-    white = set(a.white) | {m(v) for v in b.white}
-    edges = list(a.edges) + [(m(u), m(v), k) for u, v, k in b.edges]
-    return Tree._unchecked(a.root, black, white, edges)
+    black = a.black.union(map(m, b.black))
+    white = a.white.union(map(m, b.white))
+    edges = list(a.edges)
+    for u, v, k in b.edges:  # each glued edge as (lower, higher, k)
+        u, v = m(u), m(v)
+        edges.append((u, v, k) if u < v else (v, u, k))
+    edges.sort()
+    return Tree(a.root, black, white, tuple(edges))
 
 
 def _harvest_fault(t: Tree) -> str | None:

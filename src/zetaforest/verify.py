@@ -312,27 +312,27 @@ def _suite_vanish(cfg: RunConfig) -> list[tuple]:
 
 
 def _suite_root_change(cfg: RunConfig) -> list[tuple]:
-    """One case per (tree, M), each with its tree's harvested terms, which
-    are built once for every M."""
+    """One case per (tree, M).  A tree's harvested terms are built the first
+    time a case of that tree is checked, and serve it at every M."""
     from .catalog import harvestable_catalog
     from .trees import harvestable_form
     from .zeta import zeta_shat_tree
 
     order = cfg.t_order
-    inputs = []
-    for t in harvestable_catalog():
-        if len(t.vertices) > 1:
-            terms = harvested_terms(t, order)
-            inputs += [(t, M, terms) for M in range(1, cfg.m_max + 1)]
+    inputs = [(t, M) for t in harvestable_catalog() if len(t.vertices) > 1
+              for M in range(1, cfg.m_max + 1)]
+    terms: dict[str, list] = {}  # tree key -> harvested terms, for this run
 
     def check(x: tuple) -> Optional[str]:
-        t, M, terms = x
-        return _diff(zeta_shat_tree(t, M, order), root_change_rhs(terms, M, order))
+        t, M = x
+        if t.key not in terms:
+            terms[t.key] = harvested_terms(t, order)
+        return _diff(zeta_shat_tree(t, M, order), root_change_rhs(terms[t.key], M, order))
 
     def shrinks(x: tuple) -> list:
-        t, M, _ = x
+        t, M = x
         forms = (harvestable_form(t2) for t2 in _tree_shrinks(t))
-        return [(hf, M, harvested_terms(hf, order)) for hf in forms if len(hf.vertices) > 1]
+        return [(hf, M) for hf in forms if len(hf.vertices) > 1]
 
     return _cases(inputs, lambda x: f"tree={x[0].key} M={x[1]} t_order={order}", check, shrinks)
 

@@ -24,7 +24,6 @@ from .indices import Tuple_, check_index
 
 Word = str
 
-X = "x"
 Y = "y"
 
 
@@ -40,19 +39,10 @@ def z_decompose(w: Word) -> Tuple_:
         return ()
     if w[0] != Y:
         raise NotInH1(f"word {w!r} does not start with y")
-    out = []
-    run = 0
-    for c in w:
-        if c == Y:
-            if run:
-                out.append(run)
-            run = 1
-        elif c == X:
-            run += 1
-        else:
-            raise BadIndex(f"letter {c!r} is not in the alphabet")
-    out.append(run)
-    return tuple(out)
+    bad = w.strip("xy")  # starts at the first letter outside the alphabet
+    if bad:
+        raise BadIndex(f"letter {bad[0]!r} is not in the alphabet")
+    return tuple([len(run) + 1 for run in w[1:].split(Y)])
 
 
 def _grlex(w: Word) -> tuple[int, Word]:

@@ -67,7 +67,7 @@ if TYPE_CHECKING:
 
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
-    check_index(k)
+    k = check_index(k)
     num = _zeta_numerator(k, M)
     # neither the empty index nor an empty sum needs L
     return Rat(num, lcm(*range(1, M)) ** sum(k)) if k and num else Rat(num)
@@ -224,7 +224,7 @@ def zeta_shat_tree(t: Tree, M: int, order: int) -> TSeries:
 
 def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
     """Sum of zeta_tree_u over the black vertices `us`, reduced once."""
-    empty = TSeries.zeros(Rat(0), order)  # also rejects order < 1
+    empty = TSeries([Rat(0)] * order, order)  # also rejects order < 1
     # the B - 1 black values besides m_u are >= 1 and their total is < M
     if M < max(2, len(t.black)):
         return empty

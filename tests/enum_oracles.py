@@ -11,9 +11,11 @@ programs in ``zetaforest.zeta`` that they check.  ``z_m_eval`` adds one
 tree map from scratch, with weights from ``math.comb``, independent of the
 shared walk in ``zetaforest.trees`` that it checks and of ``bumps``.
 ``naive_shuffle`` and ``naive_harmonic`` choose positions, not prefixes, as the word kernel does.
-The ``dict_*`` functions redo the arithmetic of word combinations on plain
-dicts of ``Fraction``, one term at a time, where ``zetaforest.combo`` keeps
-integer numerators over one denominator.
+``letter_phi_hat`` expands the word map letter by letter with
+``naive_shuffle``, where ``zetaforest.symmetrize`` goes through z-indices
+and ``bumps``.  The ``dict_*`` functions redo the arithmetic of word
+combinations on plain dicts of ``Fraction``, one term at a time, where
+``zetaforest.combo`` keeps integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from zetaforest.errors import UnknownVertex
 from zetaforest.indices import Tuple_
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
-from zetaforest.symmetrize import phi_hat
 from zetaforest.trees import Tree
 from zetaforest.words import HElem, word_from_index, z_decompose
 
@@ -278,13 +279,35 @@ def dict_product(a: dict, b: dict, product) -> dict:
     return _nonzero(out)
 
 
+def letter_phi_hat(w: str, order: int) -> list:
+    """phi_hat of the y-initial word w, letter by letter, from
+
+        phi_hat(w) = w - sum over w = h y g of h sh y (S(g) sh sum_{l<N} t^l x^l)
+
+    with S(g) = (-1)^|g| reverse(g) and both shuffles by `naive_shuffle`.
+    One dict of integer coefficients per t-degree l < `order`, degree l
+    coming from the term t^l x^l.  It reads no z-index, binomial or bump."""
+    rows: list[dict] = [{} for _ in range(order)]
+    rows[0][w] = 1
+    for i in range(len(w)):
+        if w[i] != "y":
+            continue
+        h, g = w[:i], w[i + 1 :]
+        sign = -1 if len(g) % 2 else 1
+        for l, row in enumerate(rows):
+            for v, m in naive_shuffle(g[::-1], "x" * l).items():
+                for u, n in naive_shuffle(h, "y" + v).items():
+                    row[u] = row.get(u, 0) - sign * m * n
+    return [_nonzero(row) for row in rows]
+
+
 def dict_phi_hat(a: dict, order: int) -> list:
     """phi_hat extended linearly over a dict of rationals: each word's image,
-    `phi_hat` of the word alone, weighted and summed term by term in
+    `letter_phi_hat` of the word, weighted and summed term by term in
     ``Fraction``.  One dict per t-degree."""
     rows: list[dict] = [{} for _ in range(order)]
     for w, c in a.items():
-        for row, image in zip(rows, phi_hat(HElem.word(w), order).coeffs):
-            for v, m in image.terms():
+        for row, image in zip(rows, letter_phi_hat(w, order)):
+            for v, m in image.items():
                 row[v] = row.get(v, 0) + Fraction(c) * m
     return [_nonzero(row) for row in rows]

@@ -181,6 +181,20 @@ def test_reference_oracles_share_no_enumerator():
     assert set(_from_indices(ast.parse(oracles.read_text()))) == {"Tuple_"}
 
 
+def test_reference_oracles_import_no_map_they_check():
+    # the references rebuild phi_hat, the tree map and the oracles, so from
+    # the library they take only types, an error and the z-word encoding
+    oracles = Path(__file__).resolve().parent / "enum_oracles.py"
+    names = set()
+    for node in ast.walk(ast.parse(oracles.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zetaforest":
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name.split(".")[0] == "zetaforest"}
+    assert names == {"UnknownVertex", "Tuple_", "Rat", "TSeries", "Tree", "HElem",
+                     "word_from_index", "z_decompose"}
+
+
 # defined in the package but named nowhere in it (outside __init__.py) or in
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {

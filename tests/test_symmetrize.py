@@ -10,8 +10,11 @@ from zetaforest.indices import all_indices, bumps
 from zetaforest.rationals import Rat
 from zetaforest.series import TSeries
 from zetaforest.symmetrize import _phi_hat_index, phi, phi_hat
+from zetaforest.verify import RunConfig, run_suite
 from zetaforest.words import HElem, right_mul_x_pow, shuffle, word_from_index
 from zetaforest.zeta import z_shat, zeta_index
+
+from enum_oracles import letter_phi_hat
 
 indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 # denominators sharing factors, so their lcm is smaller than their product;
@@ -200,5 +203,60 @@ def test_index_congruence_catches_weights_wrong_from_degree_four(monkeypatch):
     try:
         assert index_congruence_failures() == 0
         assert index_congruence_failures(INDEX_CONGRUENCE_CASES_N5) == 172
+    finally:
+        _phi_hat_index.cache_clear()
+
+
+def _t_to_minus_t(ks, order):
+    for bumped, d, c in bumps(ks, order):
+        yield bumped, d, (-1) ** d * c
+
+
+def _doubled_from_degree_four(ks, order):
+    for bumped, d, c in bumps(ks, order):
+        yield bumped, d, 2 * c if d >= 4 else c
+
+
+def letter_reference_failures(order: int) -> int:
+    """The indices k of weight <= 6 where phi_hat(z_k) differs from the
+    letter-level reference at `order`."""
+    words = [word_from_index(k) for k in all_indices(6)]
+    assert len(words) == 64
+    return sum(phi_hat(HElem.word(w), order).coeffs != tuple(map(HElem, letter_phi_hat(w, order)))
+               for w in words)
+
+
+def test_phi_hat_matches_letter_level_reference():
+    for order in (1, 3, 5):
+        assert letter_reference_failures(order) == 0, order
+
+
+@pytest.mark.parametrize("mutant, order, failures", [
+    (_t_to_minus_t, 3, 63),
+    (_doubled_from_degree_four, 3, 0),
+    (_doubled_from_degree_four, 5, 63),
+])
+def test_letter_level_reference_catches_faults_in_bumps(monkeypatch, mutant, order, failures):
+    # the empty index alone has no bump, so one of the 64 survives each fault
+    monkeypatch.setattr(symmetrize, "bumps", mutant)
+    _phi_hat_index.cache_clear()
+    try:
+        assert letter_reference_failures(order) == failures
+    finally:
+        _phi_hat_index.cache_clear()
+
+
+def test_word_suites_above_degree_three(monkeypatch):
+    # kaneko at t-order 6 and t-btt at t-order 8 pass, and catch phi_hat's
+    # weights doubled from t-degree 4 up, each at one minimal case
+    runs = [("kaneko", RunConfig(t_order=6, weight_max=3), ["k= l=1"]),
+            ("t-btt", RunConfig(t_order=8, weight_max=5), ["index=1,1 t_order=8"])]
+    for name, cfg, _ in runs:
+        assert run_suite(name, cfg).ok, name
+    monkeypatch.setattr(symmetrize, "bumps", _doubled_from_degree_four)
+    _phi_hat_index.cache_clear()
+    try:
+        for name, cfg, failed in runs:
+            assert [f.case for f in run_suite(name, cfg).failures] == failed, name
     finally:
         _phi_hat_index.cache_clear()

@@ -261,3 +261,27 @@ def test_catalog_suite_checks_each_distinct_tree_once(monkeypatch):
     report = run_suite("main", RunConfig(t_order=2, m_max=3))
     assert len(keys) == len(set(keys)) == 72
     assert len(report.failures) == 4
+
+
+def test_root_change_builds_each_trees_terms_once(monkeypatch):
+    # cases are (tree, M) pairs: a tree's harvested terms are built when a
+    # case of it is first checked, and serve every M and every later meeting
+    from zetaforest import zeta
+
+    keys = []
+    right, terms = zeta.zeta_shat_tree, verify.harvested_terms
+
+    def built(t, order):
+        keys.append(t.key)
+        return terms(t, order)
+
+    monkeypatch.setattr(verify, "harvested_terms", built)
+    assert run_suite("root-change", RunConfig(t_order=3, m_max=10)).ok
+    assert len(keys) == len(set(keys)) == 32  # one per catalog tree
+    keys.clear()
+    monkeypatch.setattr(zeta, "zeta_shat_tree", lambda t, M, order: _plus_at(right(t, M, order), 0, 1)
+                        if len(t.vertices) >= 4 and M >= 3 else right(t, M, order))
+    report = run_suite("root-change", RunConfig(t_order=2, m_max=4))
+    assert len(keys) == len(set(keys)) == 68  # one per distinct tree checked
+    trees_ = ["b(0:w(1:b(),1:b()))", "b(1:b(0:w(1:b(),1:b())))", "b(1:b(1:b(1:b())))"]
+    assert _failed_keys(report) == [f"tree={t} M={M} t_order=2" for t in trees_ for M in (3, 4)]

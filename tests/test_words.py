@@ -51,6 +51,25 @@ def test_z_decompose_examples():
         z_decompose("xy")
 
 
+def test_z_decompose_names_the_first_letter_outside_the_alphabet():
+    for w, letter in (("yz", "z"), ("yxzy", "z"), ("yé", "é"), ("yxyq1", "q"), ("y\n", "\n")):
+        with pytest.raises(BadIndex) as err:
+            z_decompose(w)
+        assert str(err.value) == f"letter {letter!r} is not in the alphabet"
+    for w in ("xy", "zy", " y"):
+        with pytest.raises(NotInH1):
+            z_decompose(w)
+
+
+def test_index_entries_are_ints():
+    for k in ((2.0,), (1.5,), (True,), (1, 2.0)):
+        with pytest.raises(BadIndex, match="must be ints"):
+            HElem.from_index(k)
+    with pytest.raises(BadIndex, match="must be positive"):
+        word_from_index((1, 0))
+    assert word_from_index([1, 2]) == "yyx"
+
+
 @given(indices)
 def test_z_round_trip(k):
     assert z_decompose(word_from_index(k)) == k

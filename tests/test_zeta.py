@@ -67,6 +67,17 @@ def test_zeta_index_rejects_non_index():
             zeta_index(k, 4)
 
 
+def test_zeta_index_takes_int_entries_only():
+    # a float entry equal to an int must not reach the cache keyed by
+    # (k, M), where it would stand for the int index from then on
+    _zeta_numerator.cache_clear()
+    for k in ((1.0,), (2.0,), (1.5,), (True,)):
+        with pytest.raises(BadIndex):
+            zeta_index(k, 6)
+    assert zeta_index((1,), 6) == Rat(137, 60)
+    assert zeta_index([1, 2], 5) == Rat(17, 32)  # any sequence, keyed as a tuple
+
+
 def test_zeta_index_nested_order():
     # 0 < n_1 < n_2 < 4 with exponents (1, 2)
     expected = (

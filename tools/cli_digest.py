@@ -7,8 +7,8 @@ checkout's ``src`` and calls `zetaforest.cli.main` in-process, with
 ``ZF_T_ORDER`` unset, on every invocation of `invocations()`: each
 `verify` suite at ``--t-order 3 -M 10``; each value command on the DSL of
 every builtin and harvestable catalog tree and of three white-rooted trees,
-or on every index of weight at most 4, at t-orders 1-4 and ``-M 6`` where
-the command takes them; and a few invalid inputs, among them one tree per
+or on every index of weight at most 4, at t-orders 1-4 and 8 and ``-M 6``
+where the command takes them; and a few invalid inputs, among them one tree per
 syntax error of the tree parser.  Each runs as text and with ``--json``.
 It prints one sha256 per command over the (argv, exit code, stdout,
 stderr) of its runs, then one over all runs, so two checkouts with the
@@ -27,7 +27,7 @@ from pathlib import Path
 
 VERIFY_ARGS = ["--t-order", "3", "-M", "10"]
 M_ARGS = ["-M", "6"]
-T_ORDERS = (1, 2, 3, 4)
+T_ORDERS = (1, 2, 3, 4, 8)  # 8 is the CLI default
 # no catalog tree has a white root; `w`, `harvest` and the tree maps reject them
 WHITE_ROOTS = ["w(1:b(),2:b())", "w(0:b(),1:b(),1:b())", "w(1:w(1:b(),1:b()),2:b())"]
 INVALID = [
