@@ -35,7 +35,7 @@ trees back from those keys.
 from __future__ import annotations
 
 from bisect import bisect
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .combo import Combo, accumulate
@@ -452,6 +452,16 @@ class TreeCombo(Combo):
         }
 
 
+@lru_cache(maxsize=256)
+def _bump_cuts(ks: tuple, order: int) -> tuple:
+    """`bumps(ks, order)` cut by entry degree: item d < order holds the
+    terms (bumped, d + degree, coefficient) whose degree stays below
+    `order`.  A handful of (ks, order) pairs serve every call of
+    `cap_phi_hat`, so the fans are shared tuples."""
+    fan = tuple(bumps(ks, order))  # rejects an order below 1
+    return tuple(tuple((b, d + db, c) for b, db, c in fan if d + db < order) for d in range(order))
+
+
 def cap_phi_hat(t: Tree, order: int) -> TSeries:
     """Tree-level t-adic symmetrization: `t` re-rooted at each black v, the
     indices ks of the root-to-v path raised by a bump vector l with
@@ -470,8 +480,8 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     encoding, its term's key, to its degree's row.  With child u left out,
     each bump of u's edge that keeps the degree below `order` gives one
     string: u's entry "kb:s" if u has children, else, u being a black
-    leaf, the key "b(kb:s)" of u's term, added straight to its row.  Each
-    edge index's bumps are cut by entry degree once per call.  Per-edge
+    leaf, the key "b(kb:s)" of u's term, added straight to its row.  Every
+    fan of bumps comes cut by entry degree from `_bump_cuts`.  Per-edge
     signs and b-binomials multiply to the path's.  So a shared path prefix
     is encoded once, each entry or term costs one string build, O(V)
     characters, nothing recurses and no tree is built.
@@ -481,8 +491,7 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     _positive_blocks(t)
     kids, black = t.kids, t.black
     rows: list[dict] = [{} for _ in range(order)]
-    cuts: dict[int, list] = {}  # edge index -> by entry degree, its bumps that fit
-    todo = [(t.root, [(None, "", d, c) for _, d, c in bumps((), order)])]
+    todo = [(t.root, [(None, "", d, c) for _, d, c in _bump_cuts((), order)[0]])]
     while todo:
         a, entries = todo.pop()
         pairs = [(k, f"{k}:{e}") for k, e, _ in kids[a]]
@@ -497,11 +506,7 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
             rest = items[:i] + items[i + 1 :]
             if i < m:
                 ku, _, u = kids[a][i]
-                cut = cuts.get(ku)
-                if cut is None:
-                    fan = list(bumps((ku,), order))
-                    cut = cuts[ku] = [[(kb, d + db, cb) for (kb,), db, cb in fan if d + db < order]
-                                      for d in range(order)]
+                cut = _bump_cuts((ku,), order)
                 leaf = not kids[u]
                 if not leaf:
                     out = []
@@ -519,11 +524,11 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
                         accumulate(rows[d], pre + hang + suf, c)
                 elif leaf:  # u's term: u, a black leaf, under the rest as its one child
                     for hang, d, c in group:
-                        for kb, deg, cb in cut[d]:
+                        for (kb,), deg, cb in cut[d]:
                             accumulate(rows[deg], f"b({kb}:{pre}{hang}{suf})", c * cb)
                 else:
                     out += [(kb, f"{kb}:{pre}{hang}{suf}", deg, c * cb)
-                            for hang, d, c in group for kb, deg, cb in cut[d]]
+                            for hang, d, c in group for (kb,), deg, cb in cut[d]]
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 

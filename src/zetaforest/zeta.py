@@ -41,6 +41,17 @@ once at the end.
   costs O(V*M^2*N^2) at t-order N.  ``zeta_shat_tree`` adds the numerators
   of all B re-rootings before its one reduction, so it costs
   O(B*V*M^2*N^2).
+* One walk serves every M up to its cap.  Entry n <= cap of the total
+  vector does not depend on the cap, and over L = lcm(1..cap) it is still
+  the exact numerator, so ``zeta_tree(X, M)`` is entry M over L^K, K the
+  sum of the edge indices, and the shifted sums are prefix sums of the
+  rows over L^(K+d).  ``_walks`` keeps, per tree, walked vertices and
+  t-order, the rows of the walk at the largest cap asked so far: that walk
+  costs O(V*cap^2) once, and every call at an M up to the cap is one slice
+  and one ``Rat``, which reduces to the value its own walk would give.  A
+  call at a larger M walks at M and replaces the rows.  The table is
+  bounded by the bits it holds, at most ``WALK_BITS`` = 2^23, oldest entry
+  out first, and ``walk_info()`` reads its hits, misses, entries and bits.
 
 The brute-force enumerators these replace are kept as the test-only
 reference in ``tests/enum_oracles.py``.
@@ -53,7 +64,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadIndex, UnknownVertex
 from .indices import Tuple_, bumps, check_index
@@ -196,12 +207,75 @@ def _index_weight(t: Tree) -> int:
     return sum(k for _, _, k in t.edges)
 
 
+class WalkInfo(NamedTuple):
+    hits: int  # calls read from a stored walk
+    misses: int  # calls that walked
+    entries: int
+    bits: int  # charged to the stored entries, at most WALK_BITS
+
+
+# the budget of `_walks`, in charged bits: 2^23, 1 MiB
+WALK_BITS = 1 << 23
+
+
+class _WalkTable:
+    """Total vectors of tree walks, one per (root, black, white, edges,
+    walked black vertices, t-order): the tree's fields, not the ``Tree``,
+    whose cached maps the key would keep alive.  Each entry (cap, L, rows,
+    bits) is the walk at the largest cap asked so far, L = lcm(1..cap).
+
+    An entry is charged the bit lengths of L and of every int in its rows,
+    plus one 64-bit word per int and per edge of its key, so rows of small
+    ints and keys of big trees are not free.  The charges never pass
+    `budget`: storing an entry evicts the oldest first, and a walk that
+    alone passes the budget is returned but not stored.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.clear()
+
+    def clear(self) -> None:
+        self.entries: dict = {}
+        self.bits = self.hits = self.misses = 0
+
+    def info(self) -> WalkInfo:
+        return WalkInfo(self.hits, self.misses, len(self.entries), self.bits)
+
+    def rows(self, t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
+        """(L, rows) of the stored walk of `t` from the vertices `us` at
+        t-order `order` if its cap is at least `cap`, else of
+        `walk(cap, L)`, which replaces it."""
+        key = (t.root, t.black, t.white, t.edges, us, order)
+        entry = self.entries.get(key)
+        if entry is not None and cap <= entry[0]:
+            self.hits += 1
+            return entry[1], entry[2]
+        self.misses += 1
+        L = lcm(*range(1, cap + 1))
+        rows = walk(cap, L)
+        bits = L.bit_length() + 64 * (len(t.edges) + sum(map(len, rows)))
+        bits += sum(sum(map(int.bit_length, r)) for r in rows)
+        if bits <= self.budget:
+            if entry is not None:
+                del self.entries[key]
+                self.bits -= entry[3]
+            while self.bits + bits > self.budget:
+                self.bits -= self.entries.pop(next(iter(self.entries)))[3]
+            self.entries[key] = (cap, L, rows, bits)
+            self.bits += bits
+        return L, rows
+
+
+_walks = _WalkTable(WALK_BITS)
+walk_info = _walks.info
+
+
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
     if M < len(t.black):  # no such tuple
         return Rat(0)
-    L = lcm(*range(1, M + 1))
-    rows = _tree_rows(t, t.root, t.black, M, L, 1)
+    L, rows = _walks.rows(t, (), 1, M, lambda cap, L: _tree_rows(t, t.root, t.black, cap, L, 1))
     return Rat(rows[0][M], L ** _index_weight(t))
 
 
@@ -214,28 +288,32 @@ def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
     """
     if u not in t.black:
         raise UnknownVertex(f"{u} is not a black vertex")
-    return _shifted_sum(t, [u], M, order)
+    return _shifted_sum(t, (u,), M, order)
 
 
 def zeta_shat_tree(t: Tree, M: int, order: int) -> TSeries:
     """Sum of the u-shifted tree sums over all black vertices."""
-    return _shifted_sum(t, sorted(t.black), M, order)
+    return _shifted_sum(t, tuple(sorted(t.black)), M, order)
 
 
-def _shifted_sum(t: Tree, us: list, M: int, order: int) -> TSeries:
+def _shifted_sum(t: Tree, us: tuple, M: int, order: int) -> TSeries:
     """Sum of zeta_tree_u over the black vertices `us`, reduced once."""
     empty = TSeries([Rat(0)] * order, order)  # also rejects order < 1
     # the B - 1 black values besides m_u are >= 1 and their total is < M
     if M < max(2, len(t.black)):
         return empty
-    L = lcm(*range(1, M))
-    totals = [0] * order
-    for u in us:
-        rows = _tree_rows(t, u, t.black - {u}, M - 1, L, order)
-        for d, r in enumerate(rows):
-            totals[d] += sum(r[1:])
+
+    def walk(cap: int, L: int) -> list:
+        # by t-degree d, entry n: the numerator of the sum over totals 1..n
+        totals = [[0] * (cap + 1) for _ in range(order)]
+        for u in us:
+            for d, r in enumerate(_tree_rows(t, u, t.black - {u}, cap, L, order)):
+                totals[d] = list(map(add, totals[d], r))
+        return [list(accumulate(r[1:], initial=0)) for r in totals]
+
+    L, prefix = _walks.rows(t, us, order, M - 1, walk)
     K = _index_weight(t)
-    return TSeries([Rat(c, L ** (K + d)) for d, c in enumerate(totals)], order)
+    return TSeries([Rat(p[M - 1], L ** (K + d)) for d, p in enumerate(prefix)], order)
 
 
 def z_m_eval(a: HElem, M: int) -> object:

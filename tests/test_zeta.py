@@ -174,8 +174,10 @@ def test_tree_and_word_congruences_catch_t_to_minus_t(monkeypatch):
             yield bumped, d, (-1) ** d * c
 
     def clear():
+        # rows walked with the true bumps must not serve the patched run
         _phi_hat_index.cache_clear()
         zeta._edge_factors.cache_clear()
+        zeta._walks.clear()
 
     for module in (symmetrize, zeta):
         monkeypatch.setattr(module, "bumps", flipped)
@@ -444,3 +446,114 @@ def test_unvalidated_trees_raise_the_structural_error():
     # vertex 5 has no color; it is not taken for a white terminal
     with pytest.raises(UnknownVertex):
         Tree.build(0, [0], [], [(0, 5, 1)])
+
+
+# --- one walk per tree serves every M -------------------------------------------
+
+_SLICE_DRAWS = random.Random(30)
+SLICE_TREES = list(dict.fromkeys(builtin_catalog() + harvestable_catalog()
+                                 + [random_tree(_SLICE_DRAWS) for _ in range(40)]))
+SLICE_MS = range(1, 13)
+SLICE_ORDERS = range(1, 5)
+
+
+def oracle_calls(t):
+    """(label, call) for every oracle call on `t` at one M: zeta_tree,
+    zeta_tree_u at every black u and zeta_shat_tree, at t-orders 1-4."""
+    calls = [("tree", lambda M: zeta_tree(t, M))]
+    for order in SLICE_ORDERS:
+        calls.append((("shat", order), lambda M, order=order: zeta_shat_tree(t, M, order)))
+        calls += [(("u", u, order), lambda M, u=u, order=order: zeta_tree_u(t, u, M, order))
+                  for u in sorted(t.black)]
+    return calls
+
+
+def test_slices_equal_cold_walks():
+    from zetaforest import zeta
+
+    rng = random.Random(31)
+    shuffled = list(SLICE_MS)
+    for t in SLICE_TREES:
+        calls = oracle_calls(t)
+        cold = {}
+        for M in SLICE_MS:
+            for label, call in calls:
+                zeta._walks.clear()
+                cold[label, M] = call(M)
+        for M in range(1, 5):
+            assert cold["tree", M] == enum_oracles.zeta_tree(t, M), (t.key, M)
+            for label, _ in calls:
+                if label[0] == "u":
+                    assert cold[label, M] == enum_oracles.zeta_tree_u(t, label[1], M, label[2])
+            for order in SLICE_ORDERS:
+                total = rat_series([0] * order, order)
+                for u in t.black:
+                    total = total + cold[("u", u, order), M]
+                assert cold[("shat", order), M] == total, (t.key, order, M)
+        rng.shuffle(shuffled)
+        for sweep in (SLICE_MS, SLICE_MS[::-1], shuffled):
+            zeta._walks.clear()
+            for M in sweep:
+                for label, call in calls:
+                    assert call(M) == cold[label, M], (t.key, label, M)
+    zeta._walks.clear()
+
+
+def test_one_walk_per_tree_and_largest_m(monkeypatch):
+    # descending, the first call walks at the largest M and every later one
+    # reads a slice; ascending, each M at which a tuple exists walks again
+    from zetaforest import zeta
+
+    walks = []
+    walk = zeta._tree_rows
+    monkeypatch.setattr(zeta, "_tree_rows", lambda t, top, *rest: walks.append(top) or walk(t, top, *rest))
+    for t in SLICE_TREES:
+        b = len(t.black)
+        for sweep, shat_walks in ((SLICE_MS[::-1], b), (SLICE_MS, b * len(range(max(2, b), 13)))):
+            zeta._walks.clear()
+            walks.clear()
+            [zeta_tree(t, M) for M in sweep]
+            misses = 1 if sweep[0] > sweep[-1] else 13 - b
+            assert walks == [t.root] * misses, t.key
+            hits, _, entries, bits = zeta.walk_info()
+            assert (hits, entries) == (13 - b - misses, 1) and bits > 0
+            walks.clear()
+            [zeta_shat_tree(t, M, 3) for M in sweep]
+            assert len(walks) == shat_walks and set(walks) == t.black, t.key
+    zeta._walks.clear()
+
+
+def test_walk_table_stays_within_its_bits(monkeypatch):
+    from zetaforest import zeta
+
+    budget = 12_000  # the six chains' walks pass it from M = 17 on
+    table = zeta._WalkTable(budget)
+    monkeypatch.setattr(zeta, "_walks", table)
+    chains = [linear_tree(*[1] * n) for n in range(2, 8)]
+    stored = []  # keys in the order they were last stored
+    for M in range(8, 30, 3):
+        for t in chains:
+            assert zeta_tree(t, M) == zeta_index((1,) * (len(t.vertices) - 1), M)
+            key = (t.root, t.black, t.white, t.edges, (), 1)
+            stored = [k for k in stored if k != key] + [key]
+            info = table.info()
+            assert info.bits == sum(entry[3] for entry in table.entries.values()) <= budget
+            # the oldest entries went first: the table holds the newest ones
+            assert list(table.entries) == stored[-info.entries:]
+            assert table.entries[key][0] == M
+    assert info.entries < len(chains)  # some went
+    assert table.info().misses == len(range(8, 30, 3)) * len(chains)
+    # a walk larger than the whole budget is returned, not stored
+    long_chain = linear_tree(*[2] * 12)
+    entries = dict(table.entries)
+    assert zeta_tree(long_chain, 60) == zeta_index((2,) * 12, 60)
+    assert table.entries == entries
+    assert zeta_tree(long_chain, 40) == zeta_index((2,) * 12, 40)
+    assert table.info().misses == len(range(8, 30, 3)) * len(chains) + 2
+
+
+def test_process_walk_table_is_bounded():
+    from zetaforest import zeta
+
+    info = zeta.walk_info()
+    assert info.bits == sum(entry[3] for entry in zeta._walks.entries.values()) <= zeta.WALK_BITS
