@@ -30,6 +30,15 @@ joined from the term's new child and two strings per sibling slot.  A black
 leaf is not visited: its parent keys the leaf's terms, b(k:s) for each
 encoding s of what lies above the leaf.  `symmetrization_terms` parses its
 trees back from those keys.
+
+The terms do not depend on M, so `symmetrization_terms` keeps them in
+`_terms`, one `table.BoundedTable` keyed by the tree's fields (root, black,
+white, edges) and the t-order: an equal tree parsed anew reads the same
+term objects, and no ``Tree`` is kept alive by a key.  Each entry is
+charged the estimated bytes of its term trees as stored, 800 plus 150 per
+edge each, and the charges stay within `TERM_BYTES` = 2^21, oldest entry
+out first.  `harvestable_form` returns a tree it would not change, a
+harvestable one with no 0-edge, as itself.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from .errors import (
 )
 from .indices import bumps
 from .series import TSeries
+from .table import BoundedTable
 from .words import HElem, right_mul_x_pow, shuffle_all
 
 Edge = tuple[int, int, int]  # (u, v, k) with u < v
@@ -143,12 +153,9 @@ class Tree:
 
     @cached_property
     def parent(self) -> dict:
-        """Parent map oriented away from the root (root maps to None)."""
-        return self.parent_from(self.root)
-
-    def parent_from(self, top: int) -> dict:
-        """Parent map of the tree hung from `top`; see `orient`."""
-        return orient(self.adj, top)
+        """Parent map oriented away from the root (root maps to None); see
+        `orient`."""
+        return orient(self.adj, self.root)
 
     @cached_property
     def kids(self) -> dict:
@@ -205,11 +212,6 @@ class Tree:
         if len(self.parent) != len(verts):
             raise NotConnected("not all vertices are reachable from the root")
         _check_terminals(self.white, self.degree)
-
-    def change_root(self, v: int) -> "Tree":
-        if v not in self.vertices:
-            raise UnknownVertex(f"vertex {v} is not in the tree")
-        return Tree(v, self.black, self.white, self.edges)
 
     def to_json(self) -> dict:
         """The canonical DSL and the structural encoding of `tree_to_json`."""
@@ -346,11 +348,25 @@ def harvestable_form(t: Tree) -> Tree:
     the black set is `t`'s.  Each step is one pass over the contracted
     adjacency, and the edges, each written as (lower, higher, k), are sorted
     once; the whole costs O(V log V).
+
+    With no 0-edge, no white vertex of degree 2, no black vertex of degree
+    3 or more and a terminal root, that is, for a harvestable tree with no
+    0-edge, the steps change nothing and give a tree equal to `t` field by
+    field, so `t` itself is returned after one pass over its edges.
     """
     if t.root not in t.black:
         raise RootNotBlack("harvestable form needs a black root")
-    block = _positive_blocks(t)
     black, root = t.black, t.root
+    degree: dict[int, int] = {}
+    for u, v, k in t.edges:
+        if not k:
+            break
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    else:
+        if degree.get(root, 0) < 2 and all(d < 3 if v in black else d != 2 for v, d in degree.items()):
+            return t
+    block = _positive_blocks(t)
     adj: dict[int, dict[int, int]] = {root: {}}  # the root names its block
     for u, v, k in t.edges:
         if k:
@@ -371,7 +387,7 @@ def harvestable_form(t: Tree) -> Tree:
     par = orient(adj, root) if hoisted else {}
     if len(adj[root]) >= 2:
         hoisted.append(root)
-    top = max(t.vertices) + 1 if hoisted else 0
+    top = max(max(black), max(t.white, default=root)) + 1 if hoisted else 0
     fresh = {v: top + i for i, v in enumerate(hoisted)}
     edges = [(v, f, 0) for v, f in fresh.items()]
     for v, nb in adj.items():
@@ -434,10 +450,6 @@ class TreeCombo(Combo):
 
     def __init__(self, terms: Iterable[tuple[Tree, object]] = ()):
         super().__init__((t.key, c) for t, c in terms)
-
-    @classmethod
-    def from_tree(cls, t: Tree, coeff=1) -> "TreeCombo":
-        return cls([(t, coeff)])
 
     def terms(self) -> list[tuple[Tree, object]]:
         """(tree, coefficient) in key order, each tree parsed from its key, so
@@ -532,13 +544,30 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 
-def symmetrization_terms(t: Tree, order: int):
-    """Yield (degree, coefficient, tree) per term of `cap_phi_hat(t, order)`:
-    one isomorphism class each, its coefficient merged and nonzero, its tree
-    parsed from its key."""
-    for degree, combo in enumerate(cap_phi_hat(t, order).coeffs):
-        for tree, coeff in combo.terms():
-            yield degree, coeff, tree
+# the budget of `_terms`, in estimated bytes: 2^21, 2 MiB
+TERM_BYTES = 1 << 21
+
+_terms = BoundedTable(TERM_BYTES)
+
+
+def symmetrization_terms(t: Tree, order: int) -> tuple:
+    """(degree, coefficient, tree) per term of `cap_phi_hat(t, order)`: one
+    isomorphism class each, its coefficient merged and nonzero, its tree
+    parsed from its key, in degree then key order.
+
+    The terms do not depend on M, so `_terms`, a `BoundedTable`, keeps them
+    by (root, black, white, edges, order): the tree's fields, not the
+    ``Tree``, so an equal tree parsed anew gets the same term objects.  An
+    entry is charged 800 bytes plus 150 per edge of each term tree, an
+    estimate of a parsed tree and its term tuple as stored; the charges
+    stay within `TERM_BYTES` = 2^21, oldest entry out first.
+    """
+    def build() -> tuple:
+        terms = tuple((degree, coeff, tree) for degree, combo in enumerate(cap_phi_hat(t, order).coeffs)
+                      for tree, coeff in combo.terms())
+        return terms, sum(800 + 150 * len(tree.edges) for _, _, tree in terms)
+
+    return _terms.get((t.root, t.black, t.white, t.edges, order), build)
 
 
 def cap_phi(t: Tree) -> TreeCombo:

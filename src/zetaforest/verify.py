@@ -319,8 +319,9 @@ def _suite_root_change(cfg: RunConfig) -> list[tuple]:
     from .zeta import zeta_shat_tree
 
     order = cfg.t_order
+    # each tree's M from m_max down, so its walks at m_max serve every M below
     inputs = [(t, M) for t in harvestable_catalog() if len(t.vertices) > 1
-              for M in range(1, cfg.m_max + 1)]
+              for M in range(cfg.m_max, 0, -1)]
     terms: dict[str, list] = {}  # tree key -> harvested terms, for this run
 
     def check(x: tuple) -> Optional[str]:
@@ -335,6 +336,14 @@ def _suite_root_change(cfg: RunConfig) -> list[tuple]:
         return [(hf, M) for hf in forms if len(hf.vertices) > 1]
 
     return _cases(inputs, lambda x: f"tree={x[0].key} M={x[1]} t_order={order}", check, shrinks)
+
+
+def _least_failing_m(at: Callable[[int], Optional[str]], m_max: int) -> Optional[str]:
+    """The detail `at(M)` of the least failing M in 1..m_max, or None.
+    Every M is checked, from m_max down, so a tree's first oracle walk is
+    at m_max and serves every M below it."""
+    failing = [d for d in map(at, range(m_max, 0, -1)) if d is not None]
+    return failing[-1] if failing else None
 
 
 def _catalog_cases(check: Callable[[Tree], Optional[str]]) -> list[tuple]:
@@ -356,13 +365,16 @@ def _suite_harvest(cfg: RunConfig) -> list[tuple]:
         hf = harvestable_form(t)
         if not is_harvestable(hf):
             return f"harvestable form is not harvestable: {hf.key}"
-        for M in range(1, cfg.m_max + 1):
+
+        def at(M: int) -> Optional[str]:
             d = _diff(zeta_shat_tree(t, M, order), zeta_shat_tree(hf, M, order))
             if d:
                 return f"shifted sums differ at M={M}: {d}"
             if zeta_tree(t, M) != zeta_tree(hf, M):
                 return f"plain sums differ at M={M}"
-        return None
+            return None
+
+        return _least_failing_m(at, cfg.m_max)
 
     return _catalog_cases(check)
 
@@ -378,11 +390,12 @@ def _suite_main(cfg: RunConfig) -> list[tuple]:
         d = _diff(lhs, _harvested_words(terms, order))
         if d:
             return "word identity: " + d
-        for M in range(1, cfg.m_max + 1):
+
+        def at(M: int) -> Optional[str]:
             d = _diff(z_m_series(lhs, M), root_change_rhs(terms, M, order))
-            if d:
-                return f"numeric at M={M}: " + d
-        return None
+            return f"numeric at M={M}: " + d if d else None
+
+        return _least_failing_m(at, cfg.m_max)
 
     return _catalog_cases(check)
 

@@ -49,9 +49,15 @@ once at the end.
   t-order, the rows of the walk at the largest cap asked so far: that walk
   costs O(V*cap^2) once, and every call at an M up to the cap is one slice
   and one ``Rat``, which reduces to the value its own walk would give.  A
-  call at a larger M walks at M and replaces the rows.  The table is
-  bounded by the bits it holds, at most ``WALK_BITS`` = 2^23, oldest entry
-  out first, and ``walk_info()`` reads its hits, misses, entries and bits.
+  call at a larger M walks at M and replaces the rows.  ``_walks`` is a
+  ``table.BoundedTable``, the one bounded-table class, which the tree
+  layer's table of symmetrization terms shares: it is bounded by the bits
+  it holds, at most ``WALK_BITS`` = 2^23, oldest entry out first, and
+  ``walk_info()`` reads its hits, misses, entries and charged bits.
+* A walk caches nothing on its tree: it builds its adjacency and its
+  orientation from ``t.edges`` and reads no cached ``Tree.adj`` or
+  ``Tree.parent``, so a tree kept by a table or a caller carries no O(V)
+  maps for it, and a table hit walks nothing at all.
 
 The brute-force enumerators these replace are kept as the test-only
 reference in ``tests/enum_oracles.py``.
@@ -64,12 +70,13 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import BadIndex, UnknownVertex
 from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
+from .table import BoundedTable
 from .words import HElem, z_decompose
 
 if TYPE_CHECKING:
@@ -111,10 +118,13 @@ def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int)
     L^(K+d), K the sum of all edge indices, of the t^d coefficient of the sum
     over values >= 1 on the vertices in `free` with total n.  Every vertex
     outside `free` has value 0.  The edge above a vertex c (seen from `top`)
-    contributes (total below c)^-k, or (-(total below c) + t)^-k if c is the
-    `t.parent` of the vertex above it: the edges from `top` up to `t.root`,
-    whose summand sets hold `top`.  Vectors hold plain ints, so no ``Rat``
-    is built here.
+    contributes (total below c)^-k, or (-(total below c) + t)^-k if c lies
+    on the path from `top` up to `t.root`: those edges' summand sets hold
+    `top`.  Vectors hold plain ints, so no ``Rat`` is built here.
+
+    The adjacency and the orientation from `top` are built from `t.edges`
+    for this walk alone, so a walk caches nothing on `t`: a tree that a
+    table or a caller keeps carries no O(V) maps for it.
 
     A black leaf other than `top` gets no vector of its own: its vector
     [0, 1, ..., 1] times the edge factor rows is those rows, since their
@@ -125,8 +135,18 @@ def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int)
     No base is 0: the far side of every edge holds a leaf other than `top`,
     and the leaves of a valid tree are black, so its total is at least 1.
     """
-    adj, up = t.adj, t.parent
-    parent = up if top == t.root else t.parent_from(top)  # the root's is cached
+    from .trees import orient  # loaded with the Tree that reached here
+
+    adj: dict[int, dict[int, int]] = {top: {}}
+    for u, v, k in t.edges:
+        adj.setdefault(u, {})[v] = k
+        adj.setdefault(v, {})[u] = k
+    parent = orient(adj, top)
+    path = set()  # the vertices from t.root down to top, top excluded
+    v = t.root
+    while v != top:
+        path.add(v)
+        v = parent[v]
     vectors: dict[int, list | None] = {}
     for v in reversed(parent):
         rows = None
@@ -134,7 +154,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int)
             if w == parent[v]:
                 continue
             child = vectors.pop(w)
-            flip = up[v] == w
+            flip = w in path
             if child is None:  # a black leaf
                 child = _edge_factors(k, flip, L, cap, order) if k else [[0] + [1] * cap]
             elif k:
@@ -207,75 +227,40 @@ def _index_weight(t: Tree) -> int:
     return sum(k for _, _, k in t.edges)
 
 
-class WalkInfo(NamedTuple):
-    hits: int  # calls read from a stored walk
-    misses: int  # calls that walked
-    entries: int
-    bits: int  # charged to the stored entries, at most WALK_BITS
-
-
 # the budget of `_walks`, in charged bits: 2^23, 1 MiB
 WALK_BITS = 1 << 23
 
+_walks = BoundedTable(WALK_BITS)
+walk_info = _walks.info
 
-class _WalkTable:
-    """Total vectors of tree walks, one per (root, black, white, edges,
-    walked black vertices, t-order): the tree's fields, not the ``Tree``,
-    whose cached maps the key would keep alive.  Each entry (cap, L, rows,
-    bits) is the walk at the largest cap asked so far, L = lcm(1..cap).
 
-    An entry is charged the bit lengths of L and of every int in its rows,
-    plus one 64-bit word per int and per edge of its key, so rows of small
-    ints and keys of big trees are not free.  The charges never pass
-    `budget`: storing an entry evicts the oldest first, and a walk that
-    alone passes the budget is returned but not stored.
+def _walk(t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
+    """(L, rows) of the stored walk of `t` from the vertices `us` at t-order
+    `order` if its cap is at least `cap`, else of `walk(cap, L)`, which
+    replaces it; L = lcm(1..cap).
+
+    `_walks` keys a walk by (root, black, white, edges, us, order) and
+    stores (cap, L, rows), charged the bit lengths of L and of every int in
+    its rows, plus one 64-bit word per int and per edge of its key, so rows
+    of small ints and keys of big trees are not free.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.clear()
-
-    def clear(self) -> None:
-        self.entries: dict = {}
-        self.bits = self.hits = self.misses = 0
-
-    def info(self) -> WalkInfo:
-        return WalkInfo(self.hits, self.misses, len(self.entries), self.bits)
-
-    def rows(self, t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
-        """(L, rows) of the stored walk of `t` from the vertices `us` at
-        t-order `order` if its cap is at least `cap`, else of
-        `walk(cap, L)`, which replaces it."""
-        key = (t.root, t.black, t.white, t.edges, us, order)
-        entry = self.entries.get(key)
-        if entry is not None and cap <= entry[0]:
-            self.hits += 1
-            return entry[1], entry[2]
-        self.misses += 1
+    def build() -> tuple:
         L = lcm(*range(1, cap + 1))
         rows = walk(cap, L)
         bits = L.bit_length() + 64 * (len(t.edges) + sum(map(len, rows)))
         bits += sum(sum(map(int.bit_length, r)) for r in rows)
-        if bits <= self.budget:
-            if entry is not None:
-                del self.entries[key]
-                self.bits -= entry[3]
-            while self.bits + bits > self.budget:
-                self.bits -= self.entries.pop(next(iter(self.entries)))[3]
-            self.entries[key] = (cap, L, rows, bits)
-            self.bits += bits
-        return L, rows
+        return (cap, L, rows), bits
 
-
-_walks = _WalkTable(WALK_BITS)
-walk_info = _walks.info
+    _, L, rows = _walks.get((t.root, t.black, t.white, t.edges, us, order), build,
+                            lambda entry: cap <= entry[0])
+    return L, rows
 
 
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
     if M < len(t.black):  # no such tuple
         return Rat(0)
-    L, rows = _walks.rows(t, (), 1, M, lambda cap, L: _tree_rows(t, t.root, t.black, cap, L, 1))
+    L, rows = _walk(t, (), 1, M, lambda cap, L: _tree_rows(t, t.root, t.black, cap, L, 1))
     return Rat(rows[0][M], L ** _index_weight(t))
 
 
@@ -311,7 +296,7 @@ def _shifted_sum(t: Tree, us: tuple, M: int, order: int) -> TSeries:
                 totals[d] = list(map(add, totals[d], r))
         return [list(accumulate(r[1:], initial=0)) for r in totals]
 
-    L, prefix = _walks.rows(t, us, order, M - 1, walk)
+    L, prefix = _walk(t, us, order, M - 1, walk)
     K = _index_weight(t)
     return TSeries([Rat(p[M - 1], L ** (K + d)) for d, p in enumerate(prefix)], order)
 

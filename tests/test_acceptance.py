@@ -47,6 +47,8 @@ from zetaforest.verify import (
 from zetaforest.words import HElem, harmonic, right_mul_x_pow, shuffle
 from zetaforest.zeta import z_m_eval, z_m_series, z_shat, zeta_index, zeta_shat_tree, zeta_tree
 
+from tree_helpers import one_term
+
 
 def z(*k):
     return HElem.from_index(k)
@@ -189,10 +191,10 @@ def test_a12_worked_figures():
         term4 = linear_tree(k1, k2, k3)
         sign = lambda e: -1 if e % 2 else 1
         expected = (
-            TreeCombo.from_tree(term1, sign(k1 + k2 + k3))
-            + TreeCombo.from_tree(term2, sign(k2 + k3))
-            + TreeCombo.from_tree(term3, sign(k3))
-            + TreeCombo.from_tree(term4, 1)
+            one_term(term1, sign(k1 + k2 + k3))
+            + one_term(term2, sign(k2 + k3))
+            + one_term(term3, sign(k3))
+            + one_term(term4, 1)
         )
         assert cap_phi(t) == expected, (k1, k2, k3)
     # the hybrid word, literally

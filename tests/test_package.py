@@ -200,8 +200,6 @@ def test_reference_oracles_import_no_map_they_check():
 _UNCALLED = {
     "zeta_tree_u": "the paper's u-shifted tree sum for one vertex, public API",
     "rat_series": "builds a rational series from plain numbers, public API",
-    "change_root": "re-roots a tree at a vertex, public API",
-    "from_tree": "the one-term tree combination, public API",
 }
 
 

@@ -29,6 +29,7 @@ from zetaforest.errors import (
     TerminalNotBlack,
     UnknownVertex,
 )
+from zetaforest.table import BoundedTable
 from zetaforest.trees import (
     Tree,
     TreeCombo,
@@ -47,6 +48,7 @@ from zetaforest.words import HElem, right_mul_x_pow, shuffle
 from zetaforest.zeta import zeta_tree
 
 from enum_oracles import symmetrization_reference
+from tree_helpers import change_root, one_term
 
 
 def z(*k):
@@ -134,7 +136,7 @@ def test_unit_key():
 def test_key_distinguishes_colors_roots_indices():
     a = linear_tree(1, 2)
     assert a.key != linear_tree(2, 1).key
-    assert a.key != a.change_root(sorted(a.vertices)[2]).key
+    assert a.key != change_root(a, sorted(a.vertices)[2]).key
     s = star_tree(1, (1, 1))
     all_black = Tree.build(0, sorted(s.vertices), [], s.edges)
     assert s.key != all_black.key
@@ -207,7 +209,7 @@ def test_tree_is_an_immutable_value():
     t = linear_tree(2, 1)
     same = Tree(t.root, frozenset(t.black), frozenset(t.white), tuple(t.edges))
     assert t == same and hash(t) == hash(same) and t is not same
-    assert t != t.change_root(2) and t != (t.root, t.black, t.white, t.edges)
+    assert t != change_root(t, 2) and t != (t.root, t.black, t.white, t.edges)
     assert Tree(root=t.root, black=t.black, white=t.white, edges=t.edges) == t
     with pytest.raises(AttributeError):
         t.root = 1
@@ -230,11 +232,11 @@ def test_essential_positivity():
 
 def test_change_root():
     t = linear_tree(1, 2)
-    assert t.change_root(t.root).key == t.key
+    assert change_root(t, t.root).key == t.key
     other_end = 2
-    assert t.change_root(other_end).key == linear_tree(2, 1).key
+    assert change_root(t, other_end).key == linear_tree(2, 1).key
     with pytest.raises(UnknownVertex):
-        t.change_root(31)
+        change_root(t, 31)
 
 
 def test_circ_worked_example():
@@ -383,7 +385,7 @@ def test_harvestable_form_output_always_harvestable():
         hf = harvestable_form(t)
         assert is_harvestable(hf), (t.key, hf.key)
         for derived in (hf, circ_product(hf, hf), circ_h(hf, hf),
-                        *(t.change_root(v) for v in sorted(t.vertices))):
+                        *(change_root(t, v) for v in sorted(t.vertices))):
             derived.validate()
 
 
@@ -392,6 +394,21 @@ def test_harvestable_form_idempotent_on_image():
     for _ in range(80):
         hf = harvestable_form(random_tree(rng, 6, 2))
         assert harvestable_form(hf).key == hf.key
+
+
+def test_harvestable_form_returns_its_input_when_it_changes_nothing():
+    # contracting, splicing and hoisting change nothing exactly on a
+    # harvestable tree with no 0-edge; then the input itself comes back
+    from zetaforest.trees import symmetrization_terms
+
+    seen = kept = 0
+    for t in builtin_catalog():
+        for x in (t, *(tree for _, _, tree in symmetrization_terms(t, 3))):
+            hf = harvestable_form(x)
+            unchanged = is_harvestable(x) and all(k for _, _, k in x.edges)
+            assert (hf is x) == (hf == x) == unchanged, x.key
+            seen, kept = seen + 1, kept + unchanged
+    assert 0 < kept < seen
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,7 +503,7 @@ def test_w_word_rejects_non_harvestable():
 
 def test_cap_phi_hat_unit():
     got = cap_phi_hat(unit_tree(), 2)
-    assert got.coeffs[0] == TreeCombo.from_tree(unit_tree())
+    assert got.coeffs[0] == one_term(unit_tree())
     assert not got.coeffs[1]
 
 
@@ -501,10 +518,10 @@ def test_cap_phi_linear_r3_figure():
         term4 = linear_tree(k1, k2, k3)
         sign = lambda e: -1 if e % 2 else 1
         expected = (
-            TreeCombo.from_tree(term1, sign(k1 + k2 + k3))
-            + TreeCombo.from_tree(term2, sign(k2 + k3))
-            + TreeCombo.from_tree(term3, sign(k3))
-            + TreeCombo.from_tree(term4, 1)
+            one_term(term1, sign(k1 + k2 + k3))
+            + one_term(term2, sign(k2 + k3))
+            + one_term(term3, sign(k3))
+            + one_term(term4, 1)
         )
         assert cap_phi(t) == expected
 
@@ -541,7 +558,7 @@ def test_t_order_below_one_is_one_error():
 
     t = linear_tree(2, 1)
     with pytest.raises(BadOrder):
-        next(symmetrization_terms(t, 0))  # once yielded nothing
+        symmetrization_terms(t, 0)
     with pytest.raises(BadOrder):
         cap_phi_hat(t, 0)
     with pytest.raises(BadOrder):
@@ -580,6 +597,7 @@ def _check_against_reference(t: Tree, order: int) -> int:
     expected = [(d, key, c) for d, row in enumerate(rows) for key, c in sorted(row.items()) if c]
     got = list(symmetrization_terms(t, order))
     assert got == [(d, c, parse_tree(key)) for d, key, c in expected]
+    assert list(symmetrization_terms(t, order)) == got  # read again, from the table if stored
     series = cap_phi_hat(t, order).coeffs
     assert [(d, key, c) for d, combo in enumerate(series) for key, c in combo._sorted()] == expected
     return len(reference)
@@ -609,12 +627,70 @@ def test_symmetrization_keys_match_fresh_walks(order):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_symmetrization_matches_the_reference(order):
-    # a dropped, duplicated, unmerged or misweighted term changes the list
+def test_symmetrization_matches_the_reference(order, monkeypatch):
+    # a dropped, duplicated, unmerged or misweighted term changes the list,
+    # read cold and from the table of terms
+    from zetaforest import trees as trees_module
+
+    monkeypatch.setattr(trees_module, "_terms", BoundedTable(trees_module.TERM_BYTES))
     rng = random.Random(100 + order)
     trees = builtin_catalog() + _relabelled_random_trees(rng, 40)
     counts = _with_low_recursion_limit(lambda: [_check_against_reference(t, order) for t in trees])
     assert all(n >= len(t.black) for t, n in zip(trees, counts))
+
+
+def test_symmetrization_terms_are_kept_by_the_tree_fields(monkeypatch):
+    # an equal tree parsed anew reads the same term objects; another order
+    # misses, and its terms are the lower degrees, built anew
+    from zetaforest import trees as trees_module
+    from zetaforest.trees import symmetrization_terms
+
+    table = BoundedTable(trees_module.TERM_BYTES)
+    monkeypatch.setattr(trees_module, "_terms", table)
+    key = "b(1:w(1:b(),2:b(1:b())),2:b())"
+    first = symmetrization_terms(parse_tree(key), 3)
+    again = symmetrization_terms(parse_tree(key), 3)
+    assert again is first and table.info()[:3] == (1, 1, 1)
+    lower = symmetrization_terms(parse_tree(key), 2)
+    assert table.info()[:3] == (1, 2, 2)
+    assert lower == tuple(term for term in first if term[0] < 2)
+    assert all(a[2] is not b[2] for a, b in zip(lower, first))
+
+
+def test_term_table_charges_stay_within_budget(monkeypatch):
+    # stored terms stay flat over a long run of trees, and the charge
+    # estimates no fewer bytes than the stored terms hold
+    import gc
+    import tracemalloc
+
+    from zetaforest import trees as trees_module
+    from zetaforest.trees import symmetrization_terms
+
+    table = BoundedTable(trees_module.TERM_BYTES)
+    monkeypatch.setattr(trees_module, "_terms", table)
+    rng = random.Random(31)
+    drawn = 0
+    while drawn < 300:
+        t = random_tree(rng, 9, 2)
+        if len(t.vertices) == 9:
+            drawn += 1
+            symmetrization_terms(t, 3)
+            assert table.charge == sum(c for _, c in table.entries.values()) <= table.budget
+    assert table.info().misses == 300 and table.info().entries < 100
+    catalog = builtin_catalog()
+    for t in catalog:
+        cap_phi_hat(t, 3)  # fill the caches below the table first
+    table.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for t in catalog:
+            symmetrization_terms(t, 3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.info().entries == len(catalog) and held <= table.charge
 
 
 def _with_low_recursion_limit(check):
@@ -680,7 +756,7 @@ def test_symmetrization_at_high_degree(order):
     for t in HIGH_DEGREE:
         assert 6 <= t.degree(0) <= 10
         for root in sorted(v for v in t.black if v == 0 or t.degree(v) == 1 or 0 in t.adj[v]):
-            s = t.change_root(root)
+            s = change_root(t, root)
             assert _check_against_reference(s, order) >= len(s.black)
             _check_keys(s, order)
             checked += 1
@@ -723,7 +799,7 @@ def test_symmetrization_on_leaf_heavy_trees(order):
         leaves = sorted(v for v in t.black if t.degree(v) == 1 and v != 0)
         assert len(leaves) * 3 > 2 * len(t.vertices)
         for root in sorted({0} & t.black) + [leaves[0], leaves[-1]]:
-            s = t.change_root(root)
+            s = change_root(t, root)
             assert _check_against_reference(s, order) >= len(s.black)
             _check_keys(s, order)
             checked += 1
@@ -741,7 +817,7 @@ def test_kids_and_key_at_the_edges_of_the_leaf_rule():
         t = parse_tree(dsl)
         assert list(t.kids.items()) == list(kids.items())
         assert t.key == dsl
-    leaf = parse_tree("b(1:b())").change_root(1)
+    leaf = change_root(parse_tree("b(1:b())"), 1)
     assert list(leaf.kids.items()) == [(0, []), (1, [(1, "b()", 0)])]
     assert leaf.key == "b(1:b())"
 
@@ -753,9 +829,9 @@ def test_tree_combo_merges_isomorphic():
     a = linear_tree(1, 2)
     ids = sorted(a.vertices)
     b = relabel(a, {v: v + 10 for v in ids})
-    combo = TreeCombo.from_tree(a) + TreeCombo.from_tree(b)
-    assert combo == TreeCombo.from_tree(a, 2)
-    assert not (combo - TreeCombo.from_tree(b, 2))
+    combo = one_term(a) + one_term(b)
+    assert combo == one_term(a, 2)
+    assert not (combo - one_term(b, 2))
 
 
 def test_tree_combo_terms_are_parsed_from_keys():
@@ -773,7 +849,7 @@ def test_tree_combo_terms_are_parsed_from_keys():
             assert a.to_json() == b.to_json()
     a = linear_tree(1, 2)
     b = relabel(a, {v: v + 10 for v in a.vertices})
-    for combo in (TreeCombo([(a, 1), (b, 2)]), TreeCombo.from_tree(b) + TreeCombo.from_tree(a, 2)):
+    for combo in (TreeCombo([(a, 1), (b, 2)]), one_term(b) + one_term(a, 2)):
         ((rep, c),) = combo.terms()
         assert rep == parse_tree(a.key) and c == 3
 
@@ -794,5 +870,5 @@ def test_cap_phi_hat_cancellation_leaves_values_untouched():
 
 
 def test_tree_combo_str():
-    c = TreeCombo.from_tree(unit_tree(), 2) - TreeCombo.from_tree(linear_tree(1))
+    c = one_term(unit_tree(), 2) - one_term(linear_tree(1))
     assert str(c) == "2*b() + -b(1:b())"

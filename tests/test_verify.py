@@ -285,3 +285,27 @@ def test_root_change_builds_each_trees_terms_once(monkeypatch):
     assert len(keys) == len(set(keys)) == 68  # one per distinct tree checked
     trees_ = ["b(0:w(1:b(),1:b()))", "b(1:b(0:w(1:b(),1:b())))", "b(1:b(1:b(1:b())))"]
     assert _failed_keys(report) == [f"tree={t} M={M} t_order=2" for t in trees_ for M in (3, 4)]
+
+
+@pytest.mark.parametrize("suite, walks", [("main", 325), ("root-change", 345), ("harvest", 84)])
+def test_catalog_suites_walk_each_tree_once(suite, walks):
+    # each tree's M runs from m_max down, so each (tree, walked vertices,
+    # t-order) is walked once, at m_max, and every M below reads a slice
+    from zetaforest import zeta
+
+    zeta._walks.clear()
+    assert run_suite(suite, RunConfig(t_order=3, m_max=10)).ok
+    assert zeta.walk_info()[1:3] == (walks, walks)  # misses, entries
+    zeta._walks.clear()
+
+
+def test_catalog_suites_report_the_least_failing_m(monkeypatch):
+    # checked from m_max down, a tree's failure still names its least failing M
+    from zetaforest import zeta
+
+    series, plain = zeta.z_m_series, zeta.zeta_tree
+    monkeypatch.setattr(zeta, "z_m_series", lambda s, M: _plus_at(series(s, M), 0, 1) if M >= 3 else series(s, M))
+    monkeypatch.setattr(zeta, "zeta_tree", lambda t, M: plain(t, M) + (M >= 4 and not trees.is_harvestable(t)))
+    for suite, detail in (("main", "numeric at M=3: "), ("harvest", "plain sums differ at M=4")):
+        report = run_suite(suite, RunConfig(t_order=2, m_max=6))
+        assert report.failures and all(f.detail.startswith(detail) for f in report.failures), suite

@@ -196,13 +196,35 @@ def test_zeta_tree_examples():
     assert zeta_tree(star_tree(0, (1, 1)), 4) == Rat(1, 1) + Rat(1, 2) + Rat(1, 2)
 
 
-def test_zeta_tree_walks_the_cached_orientation(monkeypatch):
-    # walked from the root, the oracle reads the cached parent map; a sweep
-    # over M re-orients nothing
+def test_a_sweep_below_a_stored_walk_neither_walks_nor_orients(monkeypatch):
+    # after one walk at M = 7, every M = 1..7 is a slice of the stored rows
+    from zetaforest import trees, zeta
+
     t = hybrid_tree(1, 2, 1, 2, 1)
-    expected = [zeta_tree(t, M) for M in range(1, 8)]
-    monkeypatch.setattr(Tree, "parent_from", lambda self, top: pytest.fail("re-oriented"))
-    assert [zeta_tree(t, M) for M in range(1, 8)] == expected
+    sweep = range(1, 8)
+    zeta._walks.clear()
+    expected = [(zeta_tree(t, M), zeta_shat_tree(t, M, 3)) for M in sweep]
+    zeta._walks.clear()
+    zeta_tree(t, 7), zeta_shat_tree(t, 7, 3)
+    monkeypatch.setattr(zeta, "_tree_rows", lambda *args: pytest.fail("walked"))
+    monkeypatch.setattr(trees, "orient", lambda adj, top: pytest.fail("oriented"))
+    assert [(zeta_tree(t, M), zeta_shat_tree(t, M, 3)) for M in sweep] == expected
+    zeta._walks.clear()
+
+
+def test_a_walk_caches_nothing_on_its_tree():
+    # a walk builds its adjacency and orientations for itself, so a tree
+    # kept by a table or a caller carries no O(V) maps for it
+    from zetaforest import zeta
+
+    zeta._walks.clear()
+    for key in ("b(1:w(1:b(),2:b(1:b())),2:w(1:b(),1:b()))", "b(2:b(1:b(2:b())))"):
+        t = parse_tree(key)
+        u = max(t.black)
+        zeta_tree(t, 6), zeta_tree_u(t, u, 6, 3), zeta_shat_tree(t, 6, 3)
+        assert zeta.walk_info().misses > 0
+        assert not {"adj", "parent"} & t.__dict__.keys(), key
+    zeta._walks.clear()
 
 
 def test_zeta_tree_matches_index_on_linear():
@@ -525,9 +547,10 @@ def test_one_walk_per_tree_and_largest_m(monkeypatch):
 
 def test_walk_table_stays_within_its_bits(monkeypatch):
     from zetaforest import zeta
+    from zetaforest.table import BoundedTable
 
     budget = 12_000  # the six chains' walks pass it from M = 17 on
-    table = zeta._WalkTable(budget)
+    table = BoundedTable(budget)
     monkeypatch.setattr(zeta, "_walks", table)
     chains = [linear_tree(*[1] * n) for n in range(2, 8)]
     stored = []  # keys in the order they were last stored
@@ -537,10 +560,10 @@ def test_walk_table_stays_within_its_bits(monkeypatch):
             key = (t.root, t.black, t.white, t.edges, (), 1)
             stored = [k for k in stored if k != key] + [key]
             info = table.info()
-            assert info.bits == sum(entry[3] for entry in table.entries.values()) <= budget
+            assert info.charge == sum(charge for _, charge in table.entries.values()) <= budget
             # the oldest entries went first: the table holds the newest ones
             assert list(table.entries) == stored[-info.entries:]
-            assert table.entries[key][0] == M
+            assert table.entries[key][0][0] == M  # the stored walk's cap
     assert info.entries < len(chains)  # some went
     assert table.info().misses == len(range(8, 30, 3)) * len(chains)
     # a walk larger than the whole budget is returned, not stored
@@ -556,4 +579,4 @@ def test_process_walk_table_is_bounded():
     from zetaforest import zeta
 
     info = zeta.walk_info()
-    assert info.bits == sum(entry[3] for entry in zeta._walks.entries.values()) <= zeta.WALK_BITS
+    assert info.charge == sum(charge for _, charge in zeta._walks.entries.values()) <= zeta.WALK_BITS
