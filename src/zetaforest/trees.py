@@ -35,9 +35,8 @@ The terms do not depend on M, so `symmetrization_terms` keeps them in
 `_terms`, one `table.BoundedTable` keyed by the tree's fields (root, black,
 white, edges) and the t-order: an equal tree parsed anew reads the same
 term objects, and no ``Tree`` is kept alive by a key.  Each entry is
-charged the estimated bytes of its term trees as stored, 800 plus 150 per
-edge each, and the charges stay within `TERM_BYTES` = 2^21, oldest entry
-out first.  `harvestable_form` returns a tree it would not change, a
+charged the estimated bytes of its term trees, 800 plus 150 per edge each,
+and the charges stay within `TERM_BYTES` = 2^21, oldest entry out first.  `harvestable_form` returns a tree it would not change, a
 harvestable one with no 0-edge, as itself.
 """
 
@@ -559,15 +558,23 @@ def symmetrization_terms(t: Tree, order: int) -> tuple:
     by (root, black, white, edges, order): the tree's fields, not the
     ``Tree``, so an equal tree parsed anew gets the same term objects.  An
     entry is charged 800 bytes plus 150 per edge of each term tree, an
-    estimate of a parsed tree and its term tuple as stored; the charges
-    stay within `TERM_BYTES` = 2^21, oldest entry out first.
+    estimate of a parsed tree and its term tuple, and the charges stay
+    within `TERM_BYTES` = 2^21, oldest entry out first.  The term trees of
+    an entry share one copy of each equal black or white set, so the
+    estimate errs high.
     """
-    def build() -> tuple:
-        terms = tuple((degree, coeff, tree) for degree, combo in enumerate(cap_phi_hat(t, order).coeffs)
-                      for tree, coeff in combo.terms())
-        return terms, sum(800 + 150 * len(tree.edges) for _, _, tree in terms)
-
-    return _terms.get((t.root, t.black, t.white, t.edges, order), build)
+    key = (t.root, t.black, t.white, t.edges, order)
+    terms = _terms.get(key)
+    if terms is None:
+        sets: dict[frozenset, frozenset] = {}
+        built = []
+        for degree, combo in enumerate(cap_phi_hat(t, order).coeffs):
+            for tree, coeff in combo.terms():
+                black, white = sets.setdefault(tree.black, tree.black), sets.setdefault(tree.white, tree.white)
+                built.append((degree, coeff, Tree(tree.root, black, white, tree.edges)))
+        terms = tuple(built)
+        _terms.put(key, terms, sum(800 + 150 * len(tree.edges) for _, _, tree in terms))
+    return terms
 
 
 def cap_phi(t: Tree) -> TreeCombo:

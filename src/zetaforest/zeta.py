@@ -244,15 +244,15 @@ def _walk(t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
     its rows, plus one 64-bit word per int and per edge of its key, so rows
     of small ints and keys of big trees are not free.
     """
-    def build() -> tuple:
-        L = lcm(*range(1, cap + 1))
-        rows = walk(cap, L)
-        bits = L.bit_length() + 64 * (len(t.edges) + sum(map(len, rows)))
-        bits += sum(sum(map(int.bit_length, r)) for r in rows)
-        return (cap, L, rows), bits
-
-    _, L, rows = _walks.get((t.root, t.black, t.white, t.edges, us, order), build,
-                            lambda entry: cap <= entry[0])
+    key = (t.root, t.black, t.white, t.edges, us, order)
+    entry = _walks.get(key)
+    if entry is not None and cap <= entry[0]:
+        return entry[1], entry[2]
+    L = lcm(*range(1, cap + 1))
+    rows = walk(cap, L)
+    bits = L.bit_length() + 64 * (len(t.edges) + sum(map(len, rows)))
+    bits += sum(sum(map(int.bit_length, r)) for r in rows)
+    _walks.put(key, (cap, L, rows), bits)
     return L, rows
 
 
