@@ -36,8 +36,9 @@ The terms do not depend on M, so `symmetrization_terms` keeps them in
 white, edges) and the t-order: an equal tree parsed anew reads the same
 term objects, and no ``Tree`` is kept alive by a key.  Each entry is
 charged the estimated bytes of its term trees, 800 plus 150 per edge each,
-and the charges stay within `TERM_BYTES` = 2^21, oldest entry out first.  `harvestable_form` returns a tree it would not change, a
-harvestable one with no 0-edge, as itself.
+and the charges stay within `TERM_BYTES` = 2^21, oldest entry out first.
+`harvestable_form` returns a tree it would not change, a harvestable one
+with no 0-edge, as itself.
 """
 
 from __future__ import annotations
