@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import BadOrder, OrderMismatch
-from .rationals import Rat
 
 DEFAULT_ORDER = 8  # the truncation order of a run that names none (`RunConfig`, the CLI)
 
@@ -87,8 +86,4 @@ class TSeries:
         it is an exact rational."""
         coeffs = [c.to_json() if hasattr(c, "to_json") else str(c) for c in self.coeffs]
         return {"t_order": self.order, "coeffs": coeffs}
-
-
-def rat_series(coeffs: Iterable, order: int) -> TSeries:
-    return TSeries(tuple(Rat(c) for c in coeffs), order)
 

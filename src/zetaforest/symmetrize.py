@@ -13,14 +13,13 @@ in degree wt(l).  phi is the constant term (t = 0).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .indices import bumps
 from .series import TSeries
+from .table import memo
 from .words import HElem, Word, shuffle, z_decompose
 
 
-@lru_cache(maxsize=4096)
+@memo("phi_hat_rows")
 def _phi_hat_index(w: Word, order: int) -> TSeries:
     k = z_decompose(w)
     rows: list[dict] = [{} for _ in range(order)]

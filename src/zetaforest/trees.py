@@ -31,20 +31,20 @@ leaf is not visited: its parent keys the leaf's terms, b(k:s) for each
 encoding s of what lies above the leaf.  `symmetrization_terms` parses its
 trees back from those keys.
 
-The terms do not depend on M, so `symmetrization_terms` keeps them in
-`_terms`, one `table.BoundedTable` keyed by the tree's fields (root, black,
-white, edges) and the t-order: an equal tree parsed anew reads the same
-term objects, and no ``Tree`` is kept alive by a key.  Each entry is
-charged the estimated bytes of its term trees, 800 plus 150 per edge each,
-and the charges stay within `TERM_BYTES` = 2^21, oldest entry out first.
+The terms do not depend on M, so `symmetrization_terms` keeps them in the
+package's one cache, `table.TABLE`, keyed by the tree's fields (root,
+black, white, edges) and the t-order: an equal tree parsed anew reads the
+same term objects, and no ``Tree`` is kept alive by a key.
 `harvestable_form` returns a tree it would not change, a harvestable one
-with no 0-edge, as itself.
+with no 0-edge, as itself.  `w_word` and `is_harvestable` build the
+adjacency and orientation they read for each call, so a stored term tree
+keeps only what it was charged for.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .combo import Combo, accumulate
@@ -62,10 +62,20 @@ from .errors import (
 )
 from .indices import bumps
 from .series import TSeries
-from .table import BoundedTable
+from .table import TABLE, memo
 from .words import HElem, right_mul_x_pow, shuffle_all
 
-Edge = tuple[int, int, int]  # (u, v, k) with u < v
+
+def adjacency(t: Tree) -> dict:
+    """Each vertex's neighbours, with the index of the edge to each, built
+    from `t.edges` for one call.  Unlike the cached `Tree.adj`, it is kept
+    nowhere, so a tree that a table or a caller keeps carries no O(V) maps
+    for it."""
+    adj: dict[int, dict[int, int]] = {t.root: {}}
+    for u, v, k in t.edges:
+        adj.setdefault(u, {})[v] = k
+        adj.setdefault(v, {})[u] = k
+    return adj
 
 
 def orient(adj: dict, top: int) -> dict:
@@ -303,20 +313,20 @@ def circ_product(a: Tree, b: Tree) -> Tree:
     return Tree(a.root, black, white, tuple(edges))
 
 
-def _harvest_fault(t: Tree) -> str | None:
-    """The first harvestability rule that `t` breaks, in words, or None."""
+def _harvest_fault(t: Tree, adj: dict, par: dict) -> str | None:
+    """The first harvestability rule that `t` breaks, in words, or None;
+    `adj` is its `adjacency` and `par` that oriented from its root."""
     if t.root not in t.black:
         return "the root is white"
-    if t.degree(t.root) > 1:
+    if len(adj[t.root]) > 1:
         return "the root is not terminal"
-    if any(t.degree(v) < 3 for v in t.white):
+    if any(len(adj[v]) < 3 for v in t.white):
         return "a white vertex has fewer than 3 edges"
-    if any(t.degree(v) > 2 for v in t.black):
+    if any(len(adj[v]) > 2 for v in t.black):
         return "a black vertex has more than 2 edges"
     zero = [(u, v) for u, v, k in t.edges if k == 0]
     if any(u in t.black and v in t.black for u, v in zero):
         return "a 0-edge joins two black vertices"
-    par = t.parent
     for u, v in zero:
         child, parent = (u, v) if par[u] == v else (v, u)
         if parent in t.white and child in t.black:
@@ -327,7 +337,8 @@ def _harvest_fault(t: Tree) -> str | None:
 def is_harvestable(t: Tree) -> bool:
     """Terminal black root, branched whites, unbranched blacks, and positivity
     at black children of whites and between adjacent blacks."""
-    return _harvest_fault(t) is None
+    adj = adjacency(t)
+    return _harvest_fault(t, adj, orient(adj, t.root)) is None
 
 
 def harvestable_form(t: Tree) -> Tree:
@@ -420,18 +431,20 @@ def w_word(t: Tree) -> HElem:
     the closed stem below the terminal root, or 1 for the single vertex.  The
     fold is O(V) steps; the shuffles at white vertices dominate.
     """
-    fault = _harvest_fault(t)
+    adj = adjacency(t)
+    par = orient(adj, t.root)
+    fault = _harvest_fault(t, adj, par)
     if fault is not None:
         raise NotHarvestable(f"{t.key}: {fault}")
-    stems: dict[int, list] = {v: [] for v in t.parent}
+    stems: dict[int, list] = {v: [] for v in par}
 
     def close(head: HElem, run: list) -> HElem:
         return head.concat(HElem.from_index(tuple(run)))
 
-    for v, p in reversed(t.parent.items()):
+    for v, p in reversed(par.items()):
         if p is None:
             break
-        k = t.adj[v][p]
+        k = adj[v][p]
         if v in t.black:
             # a black non-root vertex of a harvestable pair has at most one child
             head, run = stems[v][0] if stems[v] else (HElem.unit(), [])
@@ -464,7 +477,7 @@ class TreeCombo(Combo):
         }
 
 
-@lru_cache(maxsize=256)
+@memo("bump_cuts")
 def _bump_cuts(ks: tuple, order: int) -> tuple:
     """`bumps(ks, order)` cut by entry degree: item d < order holds the
     terms (bumped, d + degree, coefficient) whose degree stays below
@@ -544,28 +557,18 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 
-# the budget of `_terms`, in estimated bytes: 2^21, 2 MiB
-TERM_BYTES = 1 << 21
-
-_terms = BoundedTable(TERM_BYTES)
-
-
 def symmetrization_terms(t: Tree, order: int) -> tuple:
     """(degree, coefficient, tree) per term of `cap_phi_hat(t, order)`: one
     isomorphism class each, its coefficient merged and nonzero, its tree
     parsed from its key, in degree then key order.
 
-    The terms do not depend on M, so `_terms`, a `BoundedTable`, keeps them
+    The terms do not depend on M, so the "terms" of `table.TABLE` keep them
     by (root, black, white, edges, order): the tree's fields, not the
-    ``Tree``, so an equal tree parsed anew gets the same term objects.  An
-    entry is charged 800 bytes plus 150 per edge of each term tree, an
-    estimate of a parsed tree and its term tuple, and the charges stay
-    within `TERM_BYTES` = 2^21, oldest entry out first.  The term trees of
-    an entry share one copy of each equal black or white set, so the
-    estimate errs high.
+    ``Tree``, so an equal tree parsed anew gets the same term objects.  The
+    term trees of an entry share one copy of each equal black or white set.
     """
     key = (t.root, t.black, t.white, t.edges, order)
-    terms = _terms.get(key)
+    terms = TABLE.get("terms", key)
     if terms is None:
         sets: dict[frozenset, frozenset] = {}
         built = []
@@ -574,7 +577,7 @@ def symmetrization_terms(t: Tree, order: int) -> tuple:
                 black, white = sets.setdefault(tree.black, tree.black), sets.setdefault(tree.white, tree.white)
                 built.append((degree, coeff, Tree(tree.root, black, white, tree.edges)))
         terms = tuple(built)
-        _terms.put(key, terms, sum(800 + 150 * len(tree.edges) for _, _, tree in terms))
+        TABLE.put("terms", key, terms)
     return terms
 
 

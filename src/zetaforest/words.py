@@ -6,7 +6,7 @@ of words, a ``Combo`` keyed by word.  The y-initial subspace (every word empty
 or starting with ``y``) has the z-basis ``z_k = y x^(k-1)``, indexed by tuples
 of positive integers; ``word_from_index`` and ``z_decompose`` convert between
 the two encodings.  The shuffle and the harmonic product are one bilinear
-loop over one bounded cache of word pairs; only a harmonic miss decodes
+loop over one memo of word pairs in `table`; only a harmonic miss decodes
 z-indices.
 
 All values are immutable by convention: every operation returns fresh
@@ -15,12 +15,12 @@ objects and never mutates its inputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from .combo import Combo, accumulate
 from .errors import BadIndex, NotInH1
 from .indices import Tuple_, check_index
+from .table import memo
 
 Word = str
 
@@ -125,7 +125,7 @@ def _quasi_shuffle(u, v, merge: bool) -> dict:
     return prev[-1]
 
 
-@lru_cache(maxsize=4096)
+@memo("word_products")
 def _word_product(u: Word, v: Word, merge: bool) -> dict:
     """Multiplicities of the shuffle, or if `merge` the harmonic product, of
     the words u >= v: both are commutative, so (u, v) and (v, u) share one

@@ -20,8 +20,8 @@ once at the end.
 
 * ``zeta_index`` is the nested-sum recursion S_k(M) = sum_{n<M} n^-k_r
   S_k'(n) with k' = (k_1..k_r-1); it costs O(r*M).  Its integer numerator
-  over L^wt(k), L = lcm(1..M-1), is the one cached value (4096 entries,
-  keyed by (k, M)); ``zeta_index`` wraps it in a ``Rat``.
+  over L^wt(k), L = lcm(1..M-1), is the one memoized value, keyed by
+  (k, M); ``zeta_index`` wraps it in a ``Rat``.
 * ``z_m_eval`` sums those numerators in integers: each term's is raised to
   the common L^W, W the largest weight of a word, and multiplied by the
   combination's integer numerator of its word.  One ``Rat``, the sum over
@@ -45,15 +45,13 @@ once at the end.
   vector does not depend on the cap, and over L = lcm(1..cap) it is still
   the exact numerator, so ``zeta_tree(X, M)`` is entry M over L^K, K the
   sum of the edge indices, and the shifted sums are prefix sums of the
-  rows over L^(K+d).  ``_walks`` keeps, per tree, walked vertices and
+  rows over L^(K+d).  ``_walk`` keeps, per tree, walked vertices and
   t-order, the rows of the walk at the largest cap asked so far: that walk
   costs O(V*cap^2) once, and every call at an M up to the cap is one slice
   and one ``Rat``, which reduces to the value its own walk would give.  A
-  call at a larger M walks at M and replaces the rows.  ``_walks`` is a
-  ``table.BoundedTable``, the one bounded-table class, which the tree
-  layer's table of symmetrization terms shares: it is bounded by the bits
-  it holds, at most ``WALK_BITS`` = 2^23, oldest entry out first, and
-  ``walk_info()`` reads its hits, misses, entries and charged bits.
+  call at a larger M walks at M and replaces the rows.  The rows, the
+  numerators and the edge factors are kept in the package's one cache,
+  ``table.TABLE``, under the kinds "walks", "index" and "edge_factors".
 * A walk caches nothing on its tree: it builds its adjacency and its
   orientation from ``t.edges`` and reads no cached ``Tree.adj`` or
   ``Tree.parent``, so a tree kept by a table or a caller carries no O(V)
@@ -66,7 +64,6 @@ reference in ``tests/enum_oracles.py``.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import add, mul
@@ -76,7 +73,7 @@ from .errors import BadIndex, UnknownVertex
 from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
-from .table import BoundedTable
+from .table import TABLE, memo
 from .words import HElem, z_decompose
 
 if TYPE_CHECKING:
@@ -91,7 +88,7 @@ def zeta_index(k: Tuple_, M: int) -> object:
     return Rat(num, lcm(*range(1, M)) ** sum(k)) if k and num else Rat(num)
 
 
-@lru_cache(maxsize=4096)
+@memo("index")
 def _zeta_numerator(k: Tuple_, M: int) -> int:
     """`zeta_index(k, M)` times L^wt(k), L = lcm(1..M-1): an integer."""
     if not k:
@@ -135,12 +132,9 @@ def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int)
     No base is 0: the far side of every edge holds a leaf other than `top`,
     and the leaves of a valid tree are black, so its total is at least 1.
     """
-    from .trees import orient  # loaded with the Tree that reached here
+    from .trees import adjacency, orient  # loaded with the Tree that reached here
 
-    adj: dict[int, dict[int, int]] = {top: {}}
-    for u, v, k in t.edges:
-        adj.setdefault(u, {})[v] = k
-        adj.setdefault(v, {})[u] = k
+    adj = adjacency(t)
     parent = orient(adj, top)
     path = set()  # the vertices from t.root down to top, top excluded
     v = t.root
@@ -173,7 +167,7 @@ def _tree_rows(t: Tree, top: int, free: frozenset, cap: int, L: int, order: int)
     return vectors[top]
 
 
-@lru_cache(maxsize=4096)
+@memo("edge_factors")
 def _edge_factors(k: int, flip: bool, L: int, cap: int, order: int) -> tuple:
     """Rows by t-degree l of the factor n^-k, or (-n + t)^-k if `flip`, for
     n = 0..cap, as numerators over L^(k+l).  Entry 0 is 0, so these rows
@@ -227,32 +221,22 @@ def _index_weight(t: Tree) -> int:
     return sum(k for _, _, k in t.edges)
 
 
-# the budget of `_walks`, in charged bits: 2^23, 1 MiB
-WALK_BITS = 1 << 23
-
-_walks = BoundedTable(WALK_BITS)
-walk_info = _walks.info
-
-
 def _walk(t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
     """(L, rows) of the stored walk of `t` from the vertices `us` at t-order
     `order` if its cap is at least `cap`, else of `walk(cap, L)`, which
     replaces it; L = lcm(1..cap).
 
-    `_walks` keys a walk by (root, black, white, edges, us, order) and
-    stores (cap, L, rows), charged the bit lengths of L and of every int in
-    its rows, plus one 64-bit word per int and per edge of its key, so rows
-    of small ints and keys of big trees are not free.
+    The "walks" of `table.TABLE` key a walk by (root, black, white, edges,
+    us, order): the tree's fields, not the ``Tree``, whose cached maps a key
+    would keep alive.  Each stores (cap, L, rows).
     """
     key = (t.root, t.black, t.white, t.edges, us, order)
-    entry = _walks.get(key)
+    entry = TABLE.get("walks", key)
     if entry is not None and cap <= entry[0]:
         return entry[1], entry[2]
     L = lcm(*range(1, cap + 1))
     rows = walk(cap, L)
-    bits = L.bit_length() + 64 * (len(t.edges) + sum(map(len, rows)))
-    bits += sum(sum(map(int.bit_length, r)) for r in rows)
-    _walks.put(key, (cap, L, rows), bits)
+    TABLE.put("walks", key, (cap, L, rows))
     return L, rows
 
 

@@ -19,7 +19,6 @@ from zetaforest.catalog import (
 )
 from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
-from zetaforest.series import rat_series
 from zetaforest.symmetrize import phi
 from zetaforest.trees import (
     Tree,
@@ -47,6 +46,7 @@ from zetaforest.verify import (
 from zetaforest.words import HElem, harmonic, right_mul_x_pow, shuffle
 from zetaforest.zeta import z_m_eval, z_m_series, z_shat, zeta_index, zeta_shat_tree, zeta_tree
 
+from series_helpers import rat_series
 from tree_helpers import one_term
 
 

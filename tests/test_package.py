@@ -47,35 +47,44 @@ def test_recursion_ratchet():
     assert found == set()
 
 
-def _is_lru_cache(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "lru_cache"
-            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
-
-
-def _unbounded_caches(module: ast.Module):
-    """Lines that import or name functools.cache, decorate with a bare
-    lru_cache, or call lru_cache with maxsize None."""
+def _caches_outside_the_table(module: ast.Module):
+    """Lines that import or name functools.lru_cache or functools.cache,
+    name lru_cache, or make a BoundedTable."""
+    caches = {"lru_cache", "cache"}
     for node in ast.walk(module):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            if any(a.name == "cache" for a in node.names):
+            if any(a.name in caches for a in node.names):
                 yield node.lineno
-        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+        elif (isinstance(node, ast.Attribute) and node.attr in caches
               and isinstance(node.value, ast.Name) and node.value.id == "functools"):
             yield node.lineno
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from (d.lineno for d in node.decorator_list if _is_lru_cache(d))
-        elif isinstance(node, ast.Call) and _is_lru_cache(node.func):
-            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
-            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
-                yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "lru_cache":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BoundedTable":
+            yield node.lineno
 
 
 def test_cache_ratchet():
-    # a cache in a long-lived process must have a bound, stated where it is made
+    # a cache in a long-lived process must have a bound, stated where it is
+    # made: every memo goes through the one table, bounded by table.BUDGET;
+    # a per-object cached_property is allowed
+    sample = """from functools import lru_cache, cached_property
+import functools
+@functools.cache
+def f(): pass
+@lru_cache(maxsize=8)
+def g(): pass
+h = functools.lru_cache(None)(f)
+t = table.BoundedTable(1)
+@cached_property
+def k(self): pass
+"""
+    assert sorted(set(_caches_outside_the_table(ast.parse(sample)))) == [1, 3, 5, 7, 8]
     package = Path(zetaforest.__file__).parent
-    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
-             for line in _unbounded_caches(ast.parse(path.read_text()))]
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py")) if path.name != "table.py"
+             for line in _caches_outside_the_table(ast.parse(path.read_text()))]
     assert found == []
+    assert list(_caches_outside_the_table(ast.parse((package / "table.py").read_text()))) != []
 
 
 def _true_divisions(module: ast.Module):
@@ -199,7 +208,6 @@ def test_reference_oracles_import_no_map_they_check():
 # perfbench; each stays for the reason given, and may only leave this list
 _UNCALLED = {
     "zeta_tree_u": "the paper's u-shifted tree sum for one vertex, public API",
-    "rat_series": "builds a rational series from plain numbers, public API",
 }
 
 

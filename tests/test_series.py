@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 from zetaforest.errors import OrderMismatch, ZetaForestError
 from zetaforest.rationals import Rat
-from zetaforest.series import TSeries, rat_series
+from zetaforest.series import TSeries
 from zetaforest.words import HElem
 
 from enum_oracles import _neg_power_coeffs
+from series_helpers import rat_series
 
 rat_coeffs = st.lists(
     st.integers(-5, 5).map(Rat), min_size=4, max_size=4

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforest import symmetrize
+from zetaforest import symmetrize, table
 from zetaforest.errors import NotInH1
 from zetaforest.indices import all_indices, bumps
 from zetaforest.rationals import Rat
@@ -50,7 +50,7 @@ def test_phi_hat_cancellation_leaves_cached_rows_untouched():
     assert "yyx" not in dict(out.coeffs[0].terms())
     assert [[row.terms() for row in s.coeffs] for s in cached] == before
     again = phi_hat(a, order)
-    _phi_hat_index.cache_clear()
+    table.clear()
     assert again == phi_hat(a, order) == out
 
 
@@ -180,11 +180,11 @@ def test_index_congruence_catches_t_to_minus_t(monkeypatch):
             yield bumped, d, (-1) ** d * c
 
     monkeypatch.setattr(symmetrize, "bumps", flipped)
-    _phi_hat_index.cache_clear()
+    table.clear()
     try:
         assert index_congruence_failures() == 636
     finally:
-        _phi_hat_index.cache_clear()
+        table.clear()
 
 
 def test_index_congruence_at_degree_five():
@@ -199,12 +199,12 @@ def test_index_congruence_catches_weights_wrong_from_degree_four(monkeypatch):
             yield bumped, d, 2 * c if d >= 4 else c
 
     monkeypatch.setattr(symmetrize, "bumps", doubled)
-    _phi_hat_index.cache_clear()
+    table.clear()
     try:
         assert index_congruence_failures() == 0
         assert index_congruence_failures(INDEX_CONGRUENCE_CASES_N5) == 172
     finally:
-        _phi_hat_index.cache_clear()
+        table.clear()
 
 
 def _t_to_minus_t(ks, order):
@@ -239,11 +239,11 @@ def test_phi_hat_matches_letter_level_reference():
 def test_letter_level_reference_catches_faults_in_bumps(monkeypatch, mutant, order, failures):
     # the empty index alone has no bump, so one of the 64 survives each fault
     monkeypatch.setattr(symmetrize, "bumps", mutant)
-    _phi_hat_index.cache_clear()
+    table.clear()
     try:
         assert letter_reference_failures(order) == failures
     finally:
-        _phi_hat_index.cache_clear()
+        table.clear()
 
 
 def test_word_suites_above_degree_three(monkeypatch):
@@ -254,9 +254,9 @@ def test_word_suites_above_degree_three(monkeypatch):
     for name, cfg, _ in runs:
         assert run_suite(name, cfg).ok, name
     monkeypatch.setattr(symmetrize, "bumps", _doubled_from_degree_four)
-    _phi_hat_index.cache_clear()
+    table.clear()
     try:
         for name, cfg, failed in runs:
             assert [f.case for f in run_suite(name, cfg).failures] == failed, name
     finally:
-        _phi_hat_index.cache_clear()
+        table.clear()

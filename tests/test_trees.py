@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest import table
 from zetaforest.catalog import (
     black_fork_tree,
     builtin_catalog,
@@ -29,7 +30,6 @@ from zetaforest.errors import (
     TerminalNotBlack,
     UnknownVertex,
 )
-from zetaforest.table import BoundedTable
 from zetaforest.trees import (
     Tree,
     TreeCombo,
@@ -627,70 +627,31 @@ def test_symmetrization_keys_match_fresh_walks(order):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_symmetrization_matches_the_reference(order, monkeypatch):
+def test_symmetrization_matches_the_reference(order):
     # a dropped, duplicated, unmerged or misweighted term changes the list,
     # read cold and from the table of terms
-    from zetaforest import trees as trees_module
-
-    monkeypatch.setattr(trees_module, "_terms", BoundedTable(trees_module.TERM_BYTES))
+    table.clear()
     rng = random.Random(100 + order)
     trees = builtin_catalog() + _relabelled_random_trees(rng, 40)
     counts = _with_low_recursion_limit(lambda: [_check_against_reference(t, order) for t in trees])
     assert all(n >= len(t.black) for t, n in zip(trees, counts))
 
 
-def test_symmetrization_terms_are_kept_by_the_tree_fields(monkeypatch):
+def test_symmetrization_terms_are_kept_by_the_tree_fields():
     # an equal tree parsed anew reads the same term objects; another order
     # misses, and its terms are the lower degrees, built anew
-    from zetaforest import trees as trees_module
     from zetaforest.trees import symmetrization_terms
 
-    table = BoundedTable(trees_module.TERM_BYTES)
-    monkeypatch.setattr(trees_module, "_terms", table)
+    table.clear()
     key = "b(1:w(1:b(),2:b(1:b())),2:b())"
     first = symmetrization_terms(parse_tree(key), 3)
     again = symmetrization_terms(parse_tree(key), 3)
-    assert again is first and table.info()[:3] == (1, 1, 1)
+    assert again is first and table.info()["terms"][:3] == (1, 1, 1)
     lower = symmetrization_terms(parse_tree(key), 2)
-    assert table.info()[:3] == (1, 2, 2)
+    assert table.info()["terms"][:3] == (1, 2, 2)
     assert lower == tuple(term for term in first if term[0] < 2)
     assert all(a[2] is not b[2] for a, b in zip(lower, first))
-
-
-def test_term_table_charges_stay_within_budget(monkeypatch):
-    # stored terms stay flat over a long run of trees, and the charge
-    # estimates no fewer bytes than the stored terms hold
-    import gc
-    import tracemalloc
-
-    from zetaforest import trees as trees_module
-    from zetaforest.trees import symmetrization_terms
-
-    table = BoundedTable(trees_module.TERM_BYTES)
-    monkeypatch.setattr(trees_module, "_terms", table)
-    rng = random.Random(31)
-    drawn = 0
-    while drawn < 300:
-        t = random_tree(rng, 9, 2)
-        if len(t.vertices) == 9:
-            drawn += 1
-            symmetrization_terms(t, 3)
-            assert table.charge == sum(c for _, c in table.entries.values()) <= table.budget
-    assert table.info().misses == 300 and table.info().entries < 100
-    catalog = builtin_catalog()
-    for t in catalog:
-        cap_phi_hat(t, 3)  # fill the caches below the table first
     table.clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        for t in catalog:
-            symmetrization_terms(t, 3)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert table.info().entries == len(catalog) and held <= table.charge
 
 
 def _with_low_recursion_limit(check):

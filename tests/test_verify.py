@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaforest import trees, verify
+from zetaforest import table, trees, verify
 from zetaforest.catalog import builtin_catalog, random_tree
 from zetaforest.errors import BadIndex, BadOrder, BadRunConfig, UnknownSuite
 from zetaforest.series import TSeries
@@ -291,12 +291,10 @@ def test_root_change_builds_each_trees_terms_once(monkeypatch):
 def test_catalog_suites_walk_each_tree_once(suite, walks):
     # each tree's M runs from m_max down, so each (tree, walked vertices,
     # t-order) is walked once, at m_max, and every M below reads a slice
-    from zetaforest import zeta
-
-    zeta._walks.clear()
+    table.clear()
     assert run_suite(suite, RunConfig(t_order=3, m_max=10)).ok
-    assert zeta.walk_info()[1:3] == (walks, walks)  # misses, entries
-    zeta._walks.clear()
+    assert table.info()["walks"][1:3] == (walks, walks)  # misses, entries
+    table.clear()
 
 
 def test_catalog_suites_report_the_least_failing_m(monkeypatch):

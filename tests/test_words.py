@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest import table
 from zetaforest.catalog import random_tree
 from zetaforest.errors import BadIndex, NotInH1
 from zetaforest.rationals import Rat
@@ -15,7 +16,6 @@ from zetaforest.trees import cap_phi_hat, parse_tree, w_word
 from zetaforest.verify import main_rhs
 from zetaforest.words import (
     HElem,
-    _word_product,
     harmonic,
     right_mul_x_pow,
     shuffle,
@@ -159,12 +159,12 @@ def test_shuffle_term_count_bound(u, v):
 def test_kernel_caches_each_unordered_pair_once():
     # both products are commutative, so (a, b) and (b, a) share one entry,
     # keyed by the words; the two products of one pair are two entries
-    _word_product.cache_clear()
+    table.clear()
     for product, a, b in ((shuffle, "yxy", "yx"), (harmonic, "yxyy", "yxx"), (harmonic, "yxy", "yx")):
         a, b = HElem.word(a), HElem.word(b)
         assert product(a, b) == product(b, a)
-    info = _word_product.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
+    info = table.info()["word_products"]
+    assert (info.misses, info.hits, info.entries) == (3, 3, 3)
 
 
 def test_harmonic_examples():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaforest import table
 from zetaforest.catalog import (
     builtin_catalog,
     harvestable_catalog,
@@ -25,7 +26,6 @@ from zetaforest.errors import (
 )
 from zetaforest.indices import all_indices
 from zetaforest.rationals import Rat
-from zetaforest.series import rat_series
 from zetaforest.trees import Tree, parse_tree
 from zetaforest.words import HElem, harmonic, word_from_index
 from zetaforest.zeta import (
@@ -40,6 +40,7 @@ from zetaforest.zeta import (
 )
 
 import enum_oracles
+from series_helpers import rat_series
 
 
 def z(*k):
@@ -70,7 +71,7 @@ def test_zeta_index_rejects_non_index():
 def test_zeta_index_takes_int_entries_only():
     # a float entry equal to an int must not reach the cache keyed by
     # (k, M), where it would stand for the int index from then on
-    _zeta_numerator.cache_clear()
+    table.clear()
     for k in ((1.0,), (2.0,), (1.5,), (True,)):
         with pytest.raises(BadIndex):
             zeta_index(k, 6)
@@ -167,25 +168,18 @@ def test_tree_and_word_congruences_catch_t_to_minus_t(monkeypatch):
     # the tree sums' and phi_hat's expansions read at -t instead of t
     from zetaforest import symmetrize, zeta
     from zetaforest.indices import bumps
-    from zetaforest.symmetrize import _phi_hat_index
 
     def flipped(ks, order):
         for bumped, d, c in bumps(ks, order):
             yield bumped, d, (-1) ** d * c
 
-    def clear():
-        # rows walked with the true bumps must not serve the patched run
-        _phi_hat_index.cache_clear()
-        zeta._edge_factors.cache_clear()
-        zeta._walks.clear()
-
     for module in (symmetrize, zeta):
         monkeypatch.setattr(module, "bumps", flipped)
-    clear()
+    table.clear()  # rows built with the true bumps must not serve the patched run
     try:
         assert tree_congruence_failures() == (224, 224)
     finally:
-        clear()
+        table.clear()
 
 
 def test_zeta_tree_examples():
@@ -202,29 +196,36 @@ def test_a_sweep_below_a_stored_walk_neither_walks_nor_orients(monkeypatch):
 
     t = hybrid_tree(1, 2, 1, 2, 1)
     sweep = range(1, 8)
-    zeta._walks.clear()
+    table.clear()
     expected = [(zeta_tree(t, M), zeta_shat_tree(t, M, 3)) for M in sweep]
-    zeta._walks.clear()
+    table.clear()
     zeta_tree(t, 7), zeta_shat_tree(t, 7, 3)
     monkeypatch.setattr(zeta, "_tree_rows", lambda *args: pytest.fail("walked"))
     monkeypatch.setattr(trees, "orient", lambda adj, top: pytest.fail("oriented"))
     assert [(zeta_tree(t, M), zeta_shat_tree(t, M, 3)) for M in sweep] == expected
-    zeta._walks.clear()
+    table.clear()
 
 
 def test_a_walk_caches_nothing_on_its_tree():
-    # a walk builds its adjacency and orientations for itself, so a tree
-    # kept by a table or a caller carries no O(V) maps for it
-    from zetaforest import zeta
+    # a walk builds its adjacency and orientations for itself, and so do
+    # w_word and is_harvestable, so a tree kept by the table or a caller
+    # carries no O(V) maps for them
+    from zetaforest.verify import RunConfig, run_suite
 
-    zeta._walks.clear()
+    table.clear()
     for key in ("b(1:w(1:b(),2:b(1:b())),2:w(1:b(),1:b()))", "b(2:b(1:b(2:b())))"):
         t = parse_tree(key)
         u = max(t.black)
         zeta_tree(t, 6), zeta_tree_u(t, u, 6, 3), zeta_shat_tree(t, 6, 3)
-        assert zeta.walk_info().misses > 0
+        assert table.info()["walks"].misses > 0
         assert not {"adj", "parent"} & t.__dict__.keys(), key
-    zeta._walks.clear()
+    table.clear()
+    assert run_suite("main", RunConfig(t_order=3, m_max=4)).ok
+    held = [tree for (kind, _), (terms, _) in table.TABLE.entries.items() if kind == "terms"
+            for _, _, tree in terms]
+    assert len(held) > 100
+    assert [tree for tree in held if {"adj", "parent"} & tree.__dict__.keys()] == []
+    table.clear()
 
 
 def test_zeta_tree_matches_index_on_linear():
@@ -500,7 +501,7 @@ def test_slices_equal_cold_walks():
         cold = {}
         for M in SLICE_MS:
             for label, call in calls:
-                zeta._walks.clear()
+                table.clear()
                 cold[label, M] = call(M)
         for M in range(1, 5):
             assert cold["tree", M] == enum_oracles.zeta_tree(t, M), (t.key, M)
@@ -514,11 +515,11 @@ def test_slices_equal_cold_walks():
                 assert cold[("shat", order), M] == total, (t.key, order, M)
         rng.shuffle(shuffled)
         for sweep in (SLICE_MS, SLICE_MS[::-1], shuffled):
-            zeta._walks.clear()
+            table.clear()
             for M in sweep:
                 for label, call in calls:
                     assert call(M) == cold[label, M], (t.key, label, M)
-    zeta._walks.clear()
+    table.clear()
 
 
 def test_one_walk_per_tree_and_largest_m(monkeypatch):
@@ -532,51 +533,57 @@ def test_one_walk_per_tree_and_largest_m(monkeypatch):
     for t in SLICE_TREES:
         b = len(t.black)
         for sweep, shat_walks in ((SLICE_MS[::-1], b), (SLICE_MS, b * len(range(max(2, b), 13)))):
-            zeta._walks.clear()
+            table.clear()
             walks.clear()
             [zeta_tree(t, M) for M in sweep]
             misses = 1 if sweep[0] > sweep[-1] else 13 - b
             assert walks == [t.root] * misses, t.key
-            hits, _, entries, bits = zeta.walk_info()
-            assert (hits, entries) == (13 - b - misses, 1) and bits > 0
+            hits, _, entries, size = table.info()["walks"]
+            assert (hits, entries) == (13 - b - misses, 1) and size > 0
             walks.clear()
             [zeta_shat_tree(t, M, 3) for M in sweep]
             assert len(walks) == shat_walks and set(walks) == t.black, t.key
-    zeta._walks.clear()
+    table.clear()
 
 
-def test_walk_table_stays_within_its_bits(monkeypatch):
-    from zetaforest import zeta
-    from zetaforest.table import BoundedTable
+def test_walk_table_stays_within_its_bytes(monkeypatch):
+    # under a small budget in bytes the table holds the newest entries of
+    # every kind, oldest out first, and never a value over the whole budget
+    budget = 16_000  # the six chains' walks and edge factors pass it from M = 14 on
+    cache = table.TABLE
+    put = cache.put
+    stored = []  # (kind, key) in the order they were last stored
 
-    budget = 12_000  # the six chains' walks pass it from M = 17 on
-    table = BoundedTable(budget)
-    monkeypatch.setattr(zeta, "_walks", table)
+    def record(kind, key, value):
+        stored[:] = [k for k in stored if k != (kind, key)] + [(kind, key)]
+        put(kind, key, value)
+
+    monkeypatch.setattr(cache, "budget", budget)
+    monkeypatch.setattr(cache, "put", record)
+    table.clear()
     chains = [linear_tree(*[1] * n) for n in range(2, 8)]
-    stored = []  # keys in the order they were last stored
     for M in range(8, 30, 3):
         for t in chains:
             assert zeta_tree(t, M) == zeta_index((1,) * (len(t.vertices) - 1), M)
-            key = (t.root, t.black, t.white, t.edges, (), 1)
-            stored = [k for k in stored if k != key] + [key]
-            info = table.info()
-            assert info.charge == sum(charge for _, charge in table.entries.values()) <= budget
-            # the oldest entries went first: the table holds the newest ones
-            assert list(table.entries) == stored[-info.entries:]
-            assert table.entries[key][0][0] == M  # the stored walk's cap
-    assert info.entries < len(chains)  # some went
-    assert table.info().misses == len(range(8, 30, 3)) * len(chains)
+            assert cache.bytes == sum(size for _, size in cache.entries.values()) <= budget
+            assert list(cache.entries) == stored[-len(cache.entries):]
+            key = ("walks", (t.root, t.black, t.white, t.edges, (), 1))
+            assert cache.entries[key][0][0] == M  # the stored walk's cap
+    walks = table.info()["walks"]
+    assert walks.entries < len(chains) and walks.misses == len(range(8, 30, 3)) * len(chains)
+    assert table.info()["edge_factors"].misses > table.info()["edge_factors"].entries  # some went too
     # a walk larger than the whole budget is returned, not stored
     long_chain = linear_tree(*[2] * 12)
-    entries = dict(table.entries)
+    long_key = ("walks", (long_chain.root, long_chain.black, long_chain.white, long_chain.edges, (), 1))
     assert zeta_tree(long_chain, 60) == zeta_index((2,) * 12, 60)
-    assert table.entries == entries
+    assert long_key not in cache.entries and table.info()["walks"].misses == walks.misses + 1
     assert zeta_tree(long_chain, 40) == zeta_index((2,) * 12, 40)
-    assert table.info().misses == len(range(8, 30, 3)) * len(chains) + 2
+    assert cache.entries[long_key][0][0] == 40 and table.info()["walks"].misses == walks.misses + 2
+    assert cache.bytes == sum(size for _, size in cache.entries.values()) <= budget
+    table.clear()
 
 
 def test_process_walk_table_is_bounded():
-    from zetaforest import zeta
-
-    info = zeta.walk_info()
-    assert info.charge == sum(charge for _, charge in zeta._walks.entries.values()) <= zeta.WALK_BITS
+    cache = table.TABLE
+    assert cache.budget == table.BUDGET
+    assert cache.bytes == sum(size for _, size in cache.entries.values()) <= table.BUDGET
