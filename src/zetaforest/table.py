@@ -11,7 +11,8 @@ of each kind, and `clear()` empties the table.
 
 `memo(kind)` makes a function of hashable arguments read its value from the
 table and build it on a miss.  A caller with a rule of its own, such as a
-walk that serves every cap up to its own, uses `TABLE.get` and `TABLE.put`.
+walk that serves every cap up to its own, reads with `TABLE.getter(kind)`
+and stores with `TABLE.put`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from __future__ import annotations
 from sys import getsizeof
 from typing import NamedTuple
 
+from .rationals import Rat
+
 # the one cache size: the bytes `TABLE` may hold, 2^27 (128 MiB)
 BUDGET = 1 << 27
 
 _ATOMS = frozenset({int, str, float, bool, bytes, type(None)})
 _CONTAINERS = frozenset({tuple, list, set, frozenset})
+_SLOTS: dict[type, tuple] = {}  # slot names by type, over its whole __mro__, found once per type
 
 
 def charge(*objs) -> int:
@@ -32,7 +36,8 @@ def charge(*objs) -> int:
     each counted once.  One walk with a stack, so depth costs no recursion.
     An atom (an int, a str, ...) holds no other object and is not tracked
     by the garbage collector, so its ``__sizeof__()`` is its getsizeof, read
-    as it is met, and only containers go on the stack."""
+    as it is met, and only containers go on the stack.  A ``Rat`` holds two
+    ints, read as they are; any other type's slots are looked up once."""
     seen: set[int] = set()
     total = 0
     todo = list(objs)
@@ -43,15 +48,19 @@ def charge(*objs) -> int:
         seen.add(id(obj))
         total += getsizeof(obj)
         kind = type(obj)
-        if kind is dict:
+        if kind is Rat:
+            children = (obj._numerator, obj._denominator)
+        elif kind is dict:
             children = (*obj, *obj.values())
         elif kind in _CONTAINERS:
             children = obj
         elif kind in _ATOMS:
             continue
         else:
-            children = [getattr(obj, name) for cls in kind.__mro__
-                        for name in cls.__dict__.get("__slots__", ()) if hasattr(obj, name)]
+            names = _SLOTS.get(kind)
+            if names is None:
+                names = _SLOTS[kind] = _slot_names(kind)
+            children = [getattr(obj, name) for name in names if hasattr(obj, name)]
             if hasattr(obj, "__dict__"):
                 children.append(obj.__dict__)
         for child in children:
@@ -61,6 +70,13 @@ def charge(*objs) -> int:
                 seen.add(id(child))
                 total += child.__sizeof__()
     return total
+
+
+def _slot_names(kind: type) -> tuple:
+    """The names of the slots of `kind` and of its bases; a ``__slots__``
+    that is one string names one slot."""
+    slots = [cls.__dict__.get("__slots__", ()) for cls in kind.__mro__]
+    return tuple(name for names in slots for name in ((names,) if isinstance(names, str) else names))
 
 
 class KindInfo(NamedTuple):
@@ -73,9 +89,9 @@ class KindInfo(NamedTuple):
 class BoundedTable:
     """Values by (kind, key), each stored as (value, charge), oldest first.
 
-    A caller reads with `get`; when it finds no value, or one that does not
-    serve its call, it builds one and stores it with `put`.  So each `put`
-    is a miss, and every other `get` a hit.  No value is None.
+    A caller reads with a `getter`; when it finds no value, or one that does
+    not serve its call, it builds one and stores it with `put`.  So each
+    `put` is a miss, and every other lookup a hit.  No value is None.
     """
 
     def __init__(self, budget: int):
@@ -85,7 +101,8 @@ class BoundedTable:
         self.bytes = 0  # the sum of the charges
 
     def clear(self) -> None:
-        """Empty the table and zero its counts, in place: `memo` keeps both."""
+        """Empty the table and zero its counts, in place: `memo` and every
+        getter keep both."""
         self.entries.clear()
         self.bytes = 0
         for counts in self.counts.values():
@@ -105,11 +122,18 @@ class BoundedTable:
         return {kind: KindInfo(lookups - misses, misses, *held[kind])
                 for kind, (lookups, misses) in sorted(self.counts.items()) if lookups or misses}
 
-    def get(self, kind: str, key):
-        """The value stored under (kind, key), or None."""
-        self.counter(kind)[0] += 1
-        entry = self.entries.get((kind, key))
-        return None if entry is None else entry[0]
+    def getter(self, kind: str):
+        """The reader of `kind`: a function of a key that gives the value
+        stored under (kind, key), or None.  It counts a lookup in the
+        kind's one list, as `memo`'s hit does, with no call to find it."""
+        counts, entries = self.counter(kind), self.entries
+
+        def get(key):
+            counts[0] += 1
+            entry = entries.get((kind, key))
+            return None if entry is None else entry[0]
+
+        return get
 
     def put(self, kind: str, key, value) -> None:
         """Store `value` under (kind, key), charged what the two hold, in

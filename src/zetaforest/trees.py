@@ -557,6 +557,9 @@ def cap_phi_hat(t: Tree, order: int) -> TSeries:
     return TSeries(map(TreeCombo._wrap, rows), order)
 
 
+_terms = TABLE.getter("terms")
+
+
 def symmetrization_terms(t: Tree, order: int) -> tuple:
     """(degree, coefficient, tree) per term of `cap_phi_hat(t, order)`: one
     isomorphism class each, its coefficient merged and nonzero, its tree
@@ -568,7 +571,7 @@ def symmetrization_terms(t: Tree, order: int) -> tuple:
     term trees of an entry share one copy of each equal black or white set.
     """
     key = (t.root, t.black, t.white, t.edges, order)
-    terms = TABLE.get("terms", key)
+    terms = _terms(key)
     if terms is None:
         sets: dict[frozenset, frozenset] = {}
         built = []

@@ -20,12 +20,14 @@ once at the end.
 
 * ``zeta_index`` is the nested-sum recursion S_k(M) = sum_{n<M} n^-k_r
   S_k'(n) with k' = (k_1..k_r-1); it costs O(r*M).  Its integer numerator
-  over L^wt(k), L = lcm(1..M-1), is the one memoized value, keyed by
-  (k, M); ``zeta_index`` wraps it in a ``Rat``.
-* ``z_m_eval`` sums those numerators in integers: each term's is raised to
-  the common L^W, W the largest weight of a word, and multiplied by the
-  combination's integer numerator of its word.  One ``Rat``, the sum over
-  D*L^W with D the combination's one denominator, is built at the end.
+  over L^wt(k), L = lcm(1..M-1), is the one memoized value, keyed by the
+  z-word of k and M; ``zeta_index`` encodes k once and wraps the numerator
+  in a ``Rat``.
+* ``z_m_eval`` sums those numerators in integers, read by its own words:
+  each term's is raised to the common L^W, W the largest weight of a word,
+  and multiplied by the combination's integer numerator of its word.  One
+  ``Rat``, the sum over D*L^W with D the combination's one denominator, is
+  built at the end.
 * ``zeta_tree`` walks the tree once, children before parents.  Each vertex
   holds a vector indexed by the total n = 0..M of the black values in its
   subtree.  An edge scales entry n by (L // n)^k, siblings combine by
@@ -46,12 +48,14 @@ once at the end.
   the exact numerator, so ``zeta_tree(X, M)`` is entry M over L^K, K the
   sum of the edge indices, and the shifted sums are prefix sums of the
   rows over L^(K+d).  ``_walk`` keeps, per tree, walked vertices and
-  t-order, the rows of the walk at the largest cap asked so far: that walk
-  costs O(V*cap^2) once, and every call at an M up to the cap is one slice
-  and one ``Rat``, which reduces to the value its own walk would give.  A
-  call at a larger M walks at M and replaces the rows.  The rows, the
-  numerators and the edge factors are kept in the package's one cache,
-  ``table.TABLE``, under the kinds "walks", "index" and "edge_factors".
+  t-order, the exact values at every M up to the largest M asked so far:
+  the walk costs O(V*cap^2) once, its rows become one ``Rat`` (or one
+  tuple of ``Rat`` by t-degree) per M, and the rows and L are dropped.  So
+  every call at an M up to the cap reads its value and does no
+  arithmetic.  A call at a larger M walks at M and replaces the values.
+  The values, the numerators and the edge factors are kept in the
+  package's one cache, ``table.TABLE``, under the kinds "walks", "index"
+  and "edge_factors".
 * A walk caches nothing on its tree: it builds its adjacency and its
   orientation from ``t.edges`` and reads no cached ``Tree.adj`` or
   ``Tree.parent``, so a tree kept by a table or a caller carries no O(V)
@@ -74,23 +78,33 @@ from .indices import Tuple_, bumps, check_index
 from .rationals import Rat
 from .series import TSeries
 from .table import TABLE, memo
-from .words import HElem, z_decompose
+from .words import HElem, Word, word_from_index, z_decompose
 
 if TYPE_CHECKING:
     from .trees import Tree
 
 
+_ZERO = Rat(0)  # the value of every sum with no tuple; a Rat is immutable, so one serves all
+
+
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
     k = check_index(k)
-    num = _zeta_numerator(k, M)
-    # neither the empty index nor an empty sum needs L
-    return Rat(num, lcm(*range(1, M)) ** sum(k)) if k and num else Rat(num)
+    # the empty index gives 1, and below M = 3 (L = 1) there is no tuple or
+    # one, (1,), that adds 1: none of these needs L or the word, which a
+    # huge entry could not build
+    if not k or M <= max(2, len(k)):
+        return Rat(int(not k or len(k) < M))
+    w = word_from_index(k)
+    num = _zeta_numerator(w, M)
+    return Rat(num, lcm(*range(1, M)) ** len(w)) if num else _ZERO
 
 
 @memo("index")
-def _zeta_numerator(k: Tuple_, M: int) -> int:
-    """`zeta_index(k, M)` times L^wt(k), L = lcm(1..M-1): an integer."""
+def _zeta_numerator(w: Word, M: int) -> int:
+    """`zeta_index(k, M)` times L^wt(k), L = lcm(1..M-1), for the z-word w
+    of k: an integer.  The word is decomposed only here, on a miss."""
+    k = z_decompose(w)
     if not k:
         return 1
     if M <= len(k):
@@ -221,31 +235,39 @@ def _index_weight(t: Tree) -> int:
     return sum(k for _, _, k in t.edges)
 
 
-def _walk(t: Tree, us: tuple, order: int, cap: int, walk) -> tuple:
-    """(L, rows) of the stored walk of `t` from the vertices `us` at t-order
-    `order` if its cap is at least `cap`, else of `walk(cap, L)`, which
-    replaces it; L = lcm(1..cap).
+_walks = TABLE.getter("walks")
 
-    The "walks" of `table.TABLE` key a walk by (root, black, white, edges,
-    us, order): the tree's fields, not the ``Tree``, whose cached maps a key
-    would keep alive.  Each stores (cap, L, rows).
+
+def _walk(t: Tree, us: tuple, order: int, M: int, build):
+    """The value at M of the stored walk of `t` from the vertices `us` at
+    t-order `order`, if it serves M, else of `build(M)`, which replaces it.
+
+    `build(cap)` walks once and returns the exact values at every M <= cap,
+    indexed by M.  The "walks" of `table.TABLE` key a walk by (root, black,
+    white, edges, us, order): the tree's fields, not the ``Tree``, whose
+    cached maps a key would keep alive.  Each stores (cap, values), so a hit
+    is one read.
     """
     key = (t.root, t.black, t.white, t.edges, us, order)
-    entry = TABLE.get("walks", key)
-    if entry is not None and cap <= entry[0]:
-        return entry[1], entry[2]
-    L = lcm(*range(1, cap + 1))
-    rows = walk(cap, L)
-    TABLE.put("walks", key, (cap, L, rows))
-    return L, rows
+    entry = _walks(key)
+    if entry is None or entry[0] < M:
+        entry = (M, build(M))
+        TABLE.put("walks", key, entry)
+    return entry[1][M]
 
 
 def zeta_tree(t: Tree, M: int) -> object:
     """Tree sum over black tuples (m_v) >= 1 with total M, exact rational."""
     if M < len(t.black):  # no such tuple
-        return Rat(0)
-    L, rows = _walk(t, (), 1, M, lambda cap, L: _tree_rows(t, t.root, t.black, cap, L, 1))
-    return Rat(rows[0][M], L ** _index_weight(t))
+        return _ZERO
+
+    def build(cap: int) -> list:
+        L = lcm(*range(1, cap + 1))
+        (row,) = _tree_rows(t, t.root, t.black, cap, L, 1)
+        den = L ** _index_weight(t)  # after the walk, which checks each k
+        return [Rat(n, den) if n else _ZERO for n in row]
+
+    return _walk(t, (), 1, M, build)
 
 
 def zeta_tree_u(t: Tree, u: int, M: int, order: int) -> TSeries:
@@ -266,38 +288,43 @@ def zeta_shat_tree(t: Tree, M: int, order: int) -> TSeries:
 
 
 def _shifted_sum(t: Tree, us: tuple, M: int, order: int) -> TSeries:
-    """Sum of zeta_tree_u over the black vertices `us`, reduced once."""
-    empty = TSeries([Rat(0)] * order, order)  # also rejects order < 1
+    """Sum of zeta_tree_u over the black vertices `us`, reduced once, as a
+    fresh series over the stored tuple of its coefficients."""
+    zeros = (_ZERO,) * order
     # the B - 1 black values besides m_u are >= 1 and their total is < M
     if M < max(2, len(t.black)):
-        return empty
+        return TSeries(zeros, order)  # also rejects order < 1
 
-    def walk(cap: int, L: int) -> list:
+    def build(cap: int) -> list:
         # by t-degree d, entry n: the numerator of the sum over totals 1..n
-        totals = [[0] * (cap + 1) for _ in range(order)]
+        L = lcm(*range(1, cap))
+        totals = [[0] * cap for _ in range(order)]
         for u in us:
-            for d, r in enumerate(_tree_rows(t, u, t.black - {u}, cap, L, order)):
+            for d, r in enumerate(_tree_rows(t, u, t.black - {u}, cap - 1, L, order)):
                 totals[d] = list(map(add, totals[d], r))
-        return [list(accumulate(r[1:], initial=0)) for r in totals]
+        # after the walks, which check each k
+        dens = [L ** (_index_weight(t) + d) for d in range(order)]
+        prefix = [list(accumulate(r[1:], initial=0)) for r in totals]
+        # value at M: the prefix sums up to M - 1; no tuple at M = 0
+        return [zeros, *(tuple(Rat(p[n], den) if p[n] else _ZERO for p, den in zip(prefix, dens))
+                         for n in range(cap))]
 
-    L, prefix = _walk(t, us, order, M - 1, walk)
-    K = _index_weight(t)
-    return TSeries([Rat(p[M - 1], L ** (K + d)) for d, p in enumerate(prefix)], order)
+    return TSeries(_walk(t, us, order, M, build), order)
 
 
 def z_m_eval(a: HElem, M: int) -> object:
     """Linear extension of the harmonic sums over the z-basis.
 
-    Each term's numerator over L^wt(k) is raised to the common L^W, W the
-    largest weight, and multiplied by a's integer numerator of the word, so
-    the sum runs in integers and one ``Rat`` is built at the end, over a's
-    denominator times L^W.
+    Each word's numerator over L^wt(k), read by the word itself, is raised to
+    the common L^W, W the largest weight, and multiplied by a's integer
+    numerator of the word, so the sum runs in integers and one ``Rat`` is
+    built at the end, over a's denominator times L^W.
     """
     W = max(map(len, a._terms), default=0)  # a z-word's length is its weight
     L = lcm(*range(1, M)) if W else 1  # as in zeta_index, weight 0 needs no L
     total = 0
     for w, c in a._terms.items():
-        total += c * _zeta_numerator(z_decompose(w), M) * L ** (W - len(w))
+        total += c * _zeta_numerator(w, M) * L ** (W - len(w))
     return Rat(total, a._den * L**W)
 
 

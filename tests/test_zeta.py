@@ -56,10 +56,11 @@ def test_zeta_index_examples():
 
 
 def test_zeta_index_is_its_numerator_over_l_to_the_weight():
+    # the numerators are keyed by z-word, as z_m_eval reads them
     for M in range(11):
         L = math.lcm(*range(1, M))
         for k in all_indices(5):
-            assert zeta_index(k, M) == Rat(_zeta_numerator(k, M), L ** sum(k)), (k, M)
+            assert zeta_index(k, M) == Rat(_zeta_numerator(word_from_index(k), M), L ** sum(k)), (k, M)
 
 
 def test_zeta_index_rejects_non_index():
@@ -69,8 +70,8 @@ def test_zeta_index_rejects_non_index():
 
 
 def test_zeta_index_takes_int_entries_only():
-    # a float entry equal to an int must not reach the cache keyed by
-    # (k, M), where it would stand for the int index from then on
+    # a float entry equal to an int must be rejected before k is encoded
+    # as the z-word that keys the cached numerators
     table.clear()
     for k in ((1.0,), (2.0,), (1.5,), (True,)):
         with pytest.raises(BadIndex):
@@ -206,6 +207,19 @@ def test_a_sweep_below_a_stored_walk_neither_walks_nor_orients(monkeypatch):
     table.clear()
 
 
+def test_shifted_sums_are_fresh_series_over_one_stored_tuple():
+    # each call wraps the stored coefficients in a series of its own, so no
+    # caller can change what the table holds
+    t = parse_tree("b(1:w(1:b(),2:b(1:b())),2:w(1:b(),1:b()))")
+    table.clear()
+    first, second = zeta_shat_tree(t, 6, 3), zeta_shat_tree(t, 6, 3)
+    assert first == second and first is not second
+    assert first.coeffs is second.coeffs and type(first.coeffs) is tuple
+    u = max(t.black)
+    assert zeta_tree_u(t, u, 6, 3) is not zeta_tree_u(t, u, 6, 3)
+    table.clear()
+
+
 def test_a_walk_caches_nothing_on_its_tree():
     # a walk builds its adjacency and orientations for itself, and so do
     # w_word and is_harvestable, so a tree kept by the table or a caller
@@ -302,6 +316,26 @@ def test_z_m_eval_matches_term_by_term_reference(terms, M):
     # M = 0..10 reaches M <= depth, where an index sums to 0
     a = HElem([(word_from_index(tuple(k)), c) for k, c in terms])
     assert z_m_eval(a, M) == enum_oracles.z_m_eval(a, M)
+
+
+def test_a_warm_z_m_eval_decomposes_no_word(monkeypatch):
+    # the numerators are keyed by word, so a warm call reads them as they are
+    from zetaforest import zeta
+
+    a = harmonic(z(1, 2), z(2)) + z(3, 1, 1) - z()
+    table.clear()
+    cold = [z_m_eval(a, M) for M in range(8)]
+    monkeypatch.setattr(zeta, "z_decompose", lambda w: pytest.fail("decomposed"))
+    assert [z_m_eval(a, M) for M in range(8)] == cold
+    table.clear()
+
+
+def test_zeta_index_of_a_huge_entry_below_m_3():
+    # below M = 3 the value needs no L and no word, so an entry no word of
+    # memory could hold still gives its sum
+    huge = 10**15
+    assert zeta_index((huge,), 2) == 1
+    assert zeta_index((huge,), 1) == zeta_index((huge, 1), 2) == zeta_index((1, huge, 1), 3) == 0
 
 
 def test_z_shat_examples():
@@ -546,6 +580,32 @@ def test_one_walk_per_tree_and_largest_m(monkeypatch):
     table.clear()
 
 
+def test_a_warm_call_reads_its_value_and_builds_nothing(monkeypatch):
+    # after one walk at cap C, every call at M <= C neither walks nor builds
+    # a Rat, and equals its own cold walk
+    from zetaforest import zeta
+
+    cap = 8
+    for key in ("b(1:w(1:b(),2:b(1:b())),2:w(1:b(),1:b()))", "b(2:b(1:b(2:b())))", "b(1:b(),1:b())"):
+        t = parse_tree(key)
+        calls = oracle_calls(t)
+        cold = {}
+        for M in range(cap + 1):
+            for label, call in calls:
+                table.clear()
+                cold[label, M] = call(M)
+        table.clear()
+        for _, call in calls:
+            call(cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta, "_tree_rows", lambda *args: pytest.fail("walked"))
+            patch.setattr(zeta, "Rat", lambda *args: pytest.fail("built a Rat"))
+            for M in range(cap + 1):
+                for label, call in calls:
+                    assert call(M) == cold[label, M], (key, label, M)
+    table.clear()
+
+
 def test_walk_table_stays_within_its_bytes(monkeypatch):
     # under a small budget in bytes the table holds the newest entries of
     # every kind, oldest out first, and never a value over the whole budget
@@ -572,13 +632,15 @@ def test_walk_table_stays_within_its_bytes(monkeypatch):
     walks = table.info()["walks"]
     assert walks.entries < len(chains) and walks.misses == len(range(8, 30, 3)) * len(chains)
     assert table.info()["edge_factors"].misses > table.info()["edge_factors"].entries  # some went too
-    # a walk larger than the whole budget is returned, not stored
+    # a walk whose values are charged more than the whole budget (about
+    # 21 000 bytes at M = 100) is returned, not stored; at M = 60 (about
+    # 10 600 bytes) it is stored
     long_chain = linear_tree(*[2] * 12)
     long_key = ("walks", (long_chain.root, long_chain.black, long_chain.white, long_chain.edges, (), 1))
-    assert zeta_tree(long_chain, 60) == zeta_index((2,) * 12, 60)
+    assert zeta_tree(long_chain, 100) == zeta_index((2,) * 12, 100)
     assert long_key not in cache.entries and table.info()["walks"].misses == walks.misses + 1
-    assert zeta_tree(long_chain, 40) == zeta_index((2,) * 12, 40)
-    assert cache.entries[long_key][0][0] == 40 and table.info()["walks"].misses == walks.misses + 2
+    assert zeta_tree(long_chain, 60) == zeta_index((2,) * 12, 60)
+    assert cache.entries[long_key][0][0] == 60 and table.info()["walks"].misses == walks.misses + 2
     assert cache.bytes == sum(size for _, size in cache.entries.values()) <= budget
     table.clear()
 
