@@ -27,6 +27,7 @@ BUDGET = 1 << 27
 
 _ATOMS = frozenset({int, str, float, bool, bytes, type(None)})
 _CONTAINERS = frozenset({tuple, list, set, frozenset})
+_RAT_SIZE = getsizeof(Rat(0))  # the same for every Rat: two slots, no dict
 _SLOTS: dict[type, tuple] = {}  # slot names by type, over its whole __mro__, found once per type
 
 
@@ -36,8 +37,12 @@ def charge(*objs) -> int:
     each counted once.  One walk with a stack, so depth costs no recursion.
     An atom (an int, a str, ...) holds no other object and is not tracked
     by the garbage collector, so its ``__sizeof__()`` is its getsizeof, read
-    as it is met, and only containers go on the stack.  A ``Rat`` holds two
-    ints, read as they are; any other type's slots are looked up once."""
+    as it is met, and only containers go on the stack.  A ``Rat`` met
+    inside one is charged there too: its fixed size and its two ints, read
+    directly and not looked up among the objects seen, so an int that two
+    ``Rat``s share (as x and -x share a denominator) is counted for each,
+    which only raises the charge.  Any other type's slots are looked up
+    once."""
     seen: set[int] = set()
     total = 0
     todo = list(objs)
@@ -48,9 +53,7 @@ def charge(*objs) -> int:
         seen.add(id(obj))
         total += getsizeof(obj)
         kind = type(obj)
-        if kind is Rat:
-            children = (obj._numerator, obj._denominator)
-        elif kind is dict:
+        if kind is dict:
             children = (*obj, *obj.values())
         elif kind in _CONTAINERS:
             children = obj
@@ -59,24 +62,24 @@ def charge(*objs) -> int:
         else:
             names = _SLOTS.get(kind)
             if names is None:
-                names = _SLOTS[kind] = _slot_names(kind)
+                names = _SLOTS[kind] = tuple(name for cls in kind.__mro__
+                                             for name in cls.__dict__.get("__slots__", ()))
             children = [getattr(obj, name) for name in names if hasattr(obj, name)]
             if hasattr(obj, "__dict__"):
                 children.append(obj.__dict__)
         for child in children:
-            if type(child) not in _ATOMS:
+            kind = type(child)
+            if kind in _ATOMS:
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    total += child.__sizeof__()
+            elif kind is Rat:
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    total += _RAT_SIZE + child._numerator.__sizeof__() + child._denominator.__sizeof__()
+            else:
                 todo.append(child)
-            elif id(child) not in seen:
-                seen.add(id(child))
-                total += child.__sizeof__()
     return total
-
-
-def _slot_names(kind: type) -> tuple:
-    """The names of the slots of `kind` and of its bases; a ``__slots__``
-    that is one string names one slot."""
-    slots = [cls.__dict__.get("__slots__", ()) for cls in kind.__mro__]
-    return tuple(name for names in slots for name in ((names,) if isinstance(names, str) else names))
 
 
 class KindInfo(NamedTuple):

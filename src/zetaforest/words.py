@@ -30,7 +30,7 @@ Y = "y"
 def word_from_index(k: Tuple_) -> Word:
     """The z-word z_{k_1} ... z_{k_r}; the empty index gives the unit word."""
     check_index(k)
-    return "".join("y" + "x" * (e - 1) for e in k)
+    return "".join(["y" + "x" * (e - 1) for e in k])
 
 
 def z_decompose(w: Word) -> Tuple_:

@@ -89,15 +89,14 @@ _ZERO = Rat(0)  # the value of every sum with no tuple; a Rat is immutable, so o
 
 def zeta_index(k: Tuple_, M: int) -> object:
     """Truncated multiple harmonic sum; empty sums are 0, the empty index gives 1."""
-    k = check_index(k)
     # the empty index gives 1, and below M = 3 (L = 1) there is no tuple or
     # one, (1,), that adds 1: none of these needs L or the word, which a
     # huge entry could not build
     if not k or M <= max(2, len(k)):
+        k = check_index(k)
         return Rat(int(not k or len(k) < M))
-    w = word_from_index(k)
-    num = _zeta_numerator(w, M)
-    return Rat(num, lcm(*range(1, M)) ** len(w)) if num else _ZERO
+    w = word_from_index(k)  # checks k, then encodes it
+    return Rat(_zeta_numerator(w, M), lcm(*range(1, M)) ** len(w))
 
 
 @memo("index")

@@ -7,6 +7,7 @@ from sys import getsizeof
 
 from zetaforest import table
 from zetaforest.catalog import random_tree
+from zetaforest.rationals import Rat
 from zetaforest.table import charge
 from zetaforest.trees import parse_tree
 from zetaforest.verify import RunConfig, main_lhs, run_suite
@@ -30,6 +31,14 @@ def test_charge_counts_each_distinct_object_once():
     for _ in range(100_000):
         deep = [deep]
     assert charge(deep) == 100_000 * getsizeof([deep]) + getsizeof([])
+
+
+def test_charge_reads_a_rat_by_its_shape():
+    # a Rat in a container is charged its size and its two ints once, and
+    # the same as by the slot walk a Rat passed alone takes
+    r = Rat(3, 10**30)
+    assert charge([r, r]) == getsizeof([r, r]) + getsizeof(r) + getsizeof(3) + getsizeof(10**30)
+    assert charge(r) == charge([r]) - getsizeof([r])
 
 
 def test_table_charges_at_least_what_clearing_frees():
